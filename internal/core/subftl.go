@@ -126,9 +126,11 @@ type FTL struct {
 	// to a third of the region quota), rotated per write so consecutive
 	// subpage programs land on different chips — the channel/way
 	// parallelism the paper's §4.2 notes its implementation maximizes.
-	actives  []nand.BlockID
-	activeOK []bool
-	rr       int
+	// live marks the slots holding an open block; rr is the rotation
+	// cursor, the slot the next write tries first.
+	actives []nand.BlockID
+	live    slotSet
+	rr      int
 
 	gcDest    nand.BlockID // persistent GC destination block (round 0)
 	gcDestSet bool
@@ -253,7 +255,7 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		stripe = 1
 	}
 	f.actives = make([]nand.BlockID, stripe)
-	f.activeOK = make([]bool, stripe)
+	f.live = newSlotSet(stripe)
 	f.identSlots = make([]int, g.SubpagesPerPage)
 	for i := range f.identSlots {
 		f.identSlots[i] = i

@@ -433,3 +433,37 @@ func TestNameAndErrors(t *testing.T) {
 		t.Fatalf("bounds error = %v", err)
 	}
 }
+
+// slotSet.next must find the lowest matching slot in [lo, hi) across
+// word boundaries, honour hi inside a word, and treat bits past the
+// stripe as absent.
+func TestSlotSetNext(t *testing.T) {
+	s := newSlotSet(130)
+	for _, i := range []int{3, 63, 64, 129} {
+		s.set(i)
+	}
+	for _, c := range []struct {
+		lo, hi int
+		want   bool
+		got    int
+	}{
+		{0, 130, true, 3},
+		{4, 130, true, 63},
+		{64, 130, true, 64},
+		{65, 130, true, 129},
+		{65, 129, true, -1},
+		{0, 3, true, -1},
+		{0, 130, false, 0},
+		{63, 130, false, 65},
+		{129, 130, false, -1},
+		{5, 5, true, -1},
+	} {
+		if got := s.next(c.lo, c.hi, c.want); got != c.got {
+			t.Errorf("next(%d, %d, %v) = %d, want %d", c.lo, c.hi, c.want, got, c.got)
+		}
+	}
+	s.clear(63)
+	if s.has(63) || !s.has(64) {
+		t.Error("clear touched the wrong slot")
+	}
+}

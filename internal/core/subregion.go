@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"espftl/internal/ftl"
 	"espftl/internal/gc"
@@ -31,11 +32,38 @@ func (f *FTL) initSubBlock(b nand.BlockID) {
 // isActive reports whether id is one of the stripe's open write blocks.
 func (f *FTL) isActive(id nand.BlockID) bool {
 	for i, b := range f.actives {
-		if f.activeOK[i] && b == id {
+		if f.live.has(i) && b == id {
 			return true
 		}
 	}
 	return false
+}
+
+// slotSet is a bitset over the write stripe's slots.
+type slotSet []uint64
+
+func newSlotSet(n int) slotSet { return make(slotSet, (n+63)/64) }
+
+func (s slotSet) has(i int) bool { return s[i>>6]&(1<<uint(i&63)) != 0 }
+func (s slotSet) set(i int)      { s[i>>6] |= 1 << uint(i&63) }
+func (s slotSet) clear(i int)    { s[i>>6] &^= 1 << uint(i&63) }
+
+// next returns the lowest slot in [lo, hi) whose bit equals want, or -1.
+func (s slotSet) next(lo, hi int, want bool) int {
+	for lo < hi {
+		w := s[lo>>6]
+		if !want {
+			w = ^w
+		}
+		if w >>= uint(lo & 63); w != 0 {
+			if i := lo + bits.TrailingZeros64(w); i < hi {
+				return i
+			}
+			return -1
+		}
+		lo = (lo | 63) + 1
+	}
+	return -1
 }
 
 // stale reports whether the flash copy at spn no longer carries lsn's
@@ -100,38 +128,40 @@ func (f *FTL) survivorsIn(p nand.PageID, limit int) []survivor {
 // of the best candidate block, and finally by garbage-collecting.
 func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 	g := f.dev.Geometry()
+	n := len(f.actives)
 	maxAttempts := 2*f.subQuota*f.pageSecs + 64
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		for try := 0; try < len(f.actives); try++ {
-			i := f.rr
-			f.rr = (f.rr + 1) % len(f.actives)
-			if !f.activeOK[i] {
-				continue
-			}
-			mb := &f.meta[f.actives[i]]
-			for mb.cursor < g.PagesPerBlock {
-				pi := mb.cursor
-				if int(mb.nextIdx[pi]) == mb.round {
-					return g.PageOf(f.actives[i], pi), mb, pi, nil
+		// Visit each live slot once in rotation order, rr first: the slots
+		// [rr, n), then [0, rr). Dead slots are skipped without a visit. A
+		// full rotation that finds nothing leaves rr where it started.
+		start := f.rr
+		for pass, lo, hi := 0, start, n; pass < 2; pass, lo, hi = pass+1, 0, start {
+			for i := f.live.next(lo, hi, true); i >= 0; i = f.live.next(i+1, hi, true) {
+				mb := &f.meta[f.actives[i]]
+				for mb.cursor < g.PagesPerBlock {
+					pi := mb.cursor
+					if int(mb.nextIdx[pi]) == mb.round {
+						f.rr = i + 1
+						if f.rr == n {
+							f.rr = 0
+						}
+						return g.PageOf(f.actives[i], pi), mb, pi, nil
+					}
+					mb.cursor++
 				}
-				mb.cursor++
-			}
-			// This stripe slot's block is exhausted at its round.
-			f.activeOK[i] = false
-			if mb.round == f.pageSecs-1 {
-				f.man.MarkFull(f.actives[i])
+				// This stripe slot's block is exhausted at its round.
+				f.live.clear(i)
+				if mb.round == f.pageSecs-1 {
+					f.man.MarkFull(f.actives[i])
+				}
 			}
 		}
 		// Refill one empty stripe slot, rotating the starting point so
 		// refill pressure (and the chip affinity that follows it) spreads
 		// across the stripe instead of piling onto slot 0.
-		slot := -1
-		for i := 0; i < len(f.activeOK); i++ {
-			j := (f.rr + i) % len(f.activeOK)
-			if !f.activeOK[j] {
-				slot = j
-				break
-			}
+		slot := f.live.next(start, n, false)
+		if slot < 0 {
+			slot = f.live.next(0, start, false)
 		}
 		if slot < 0 {
 			continue
@@ -149,14 +179,16 @@ func (f *FTL) nextEligible() (nand.PageID, *subBlock, int, error) {
 				chip := slot * g.Chips() / len(f.actives)
 				if b, ok := f.man.AllocOnChip(ftl.RoleSub, chip); ok {
 					f.initSubBlock(b)
-					f.actives[slot], f.activeOK[slot] = b, true
+					f.actives[slot] = b
+					f.live.set(slot)
 					continue
 				}
 			}
 		}
 		if b, ok := f.pickAdvance(slot * g.Chips() / len(f.actives)); ok {
 			f.advanceRound(b)
-			f.actives[slot], f.activeOK[slot] = b, true
+			f.actives[slot] = b
+			f.live.set(slot)
 			continue
 		}
 		if err := f.collectSubOnce(); err != nil {
@@ -430,9 +462,9 @@ func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, in
 	fb := g.BlockOfPage(p)
 	slot := -1
 	for i := range f.actives {
-		if f.activeOK[i] && f.actives[i] == fb {
+		if f.live.has(i) && f.actives[i] == fb {
 			slot = i
-			f.activeOK[i] = false
+			f.live.clear(i)
 		}
 	}
 	if f.gcDestSet && fb == f.gcDest {
@@ -450,7 +482,8 @@ func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, in
 	}
 	f.initSubBlock(nb)
 	if slot >= 0 {
-		f.actives[slot], f.activeOK[slot] = nb, true
+		f.actives[slot] = nb
+		f.live.set(slot)
 	}
 	return g.PageOf(nb, 0), &f.meta[nb], 0, 0, nil
 }

@@ -3,12 +3,12 @@ package host
 import "fmt"
 
 // Arbiter picks the next command to dispatch from the heads of the
-// per-chip command queues. heads is indexed by chip queue (the last entry
-// is the unrouted queue) and contains nil for empty queues; dispatchable
-// reports whether the scheduler's structural constraints — the ordering
-// barrier, chip occupancy, background yielding — currently allow a head
-// to issue. Pick returns the chosen queue index, or -1 to wait for the
-// next event.
+// per-chip command queues. heads holds one command per non-empty queue
+// (the unrouted queue included), in submission order — ascending Seq,
+// never nil; dispatchable reports whether the scheduler's structural
+// constraints — the ordering barrier, chip occupancy — currently allow a
+// head to issue. Pick returns the chosen index into heads, or -1 to wait
+// for the next event.
 //
 // Arbiters must be deterministic: decisions may depend only on the
 // commands themselves, in fixed scan order.
@@ -36,18 +36,15 @@ type FIFO struct{}
 // Name implements Arbiter.
 func (FIFO) Name() string { return "fifo" }
 
-// Pick implements Arbiter.
+// Pick implements Arbiter: heads are in submission order, so the first
+// dispatchable one is the oldest.
 func (FIFO) Pick(heads []*Command, dispatchable func(*Command) bool) int {
-	best := -1
 	for i, c := range heads {
-		if c == nil || !dispatchable(c) {
-			continue
-		}
-		if best < 0 || c.Seq < heads[best].Seq {
-			best = i
+		if dispatchable(c) {
+			return i
 		}
 	}
-	return best
+	return -1
 }
 
 // ReadPriority dispatches the oldest dispatchable read before any write,
@@ -73,16 +70,18 @@ func (a *ReadPriority) Pick(heads []*Command, dispatchable func(*Command) bool) 
 	if limit <= 0 {
 		limit = 256
 	}
+	// Heads are in submission order: the first dispatchable read and the
+	// first dispatchable non-read are the oldest of their kind.
 	bestRead, bestOther := -1, -1
 	for i, c := range heads {
-		if c == nil || !dispatchable(c) {
-			continue
+		if bestRead >= 0 && bestOther >= 0 {
+			break
 		}
 		if c.Class == ClassRead {
-			if bestRead < 0 || c.Seq < heads[bestRead].Seq {
+			if bestRead < 0 && dispatchable(c) {
 				bestRead = i
 			}
-		} else if bestOther < 0 || c.Seq < heads[bestOther].Seq {
+		} else if bestOther < 0 && dispatchable(c) {
 			bestOther = i
 		}
 	}
@@ -92,7 +91,7 @@ func (a *ReadPriority) Pick(heads []*Command, dispatchable func(*Command) bool) 
 			a.oldest = heads[bestOther].Seq
 			a.bypassed = 0
 		}
-		if bestRead >= 0 && heads[bestRead].Seq > heads[bestOther].Seq {
+		if bestRead > bestOther {
 			if a.bypassed >= int64(limit) {
 				return bestOther
 			}

@@ -27,14 +27,15 @@ func TestNewArbiter(t *testing.T) {
 	}
 }
 
+// Heads reach Pick in submission order (ascending Seq) with no nils.
 func TestFIFOPicksOldestDispatchable(t *testing.T) {
-	heads := []*Command{cmd(5, ClassWrite), nil, cmd(2, ClassRead), cmd(9, ClassWrite)}
-	if got := (FIFO{}).Pick(heads, all); got != 2 {
-		t.Errorf("Pick = %d, want 2 (seq 2)", got)
+	heads := []*Command{cmd(2, ClassRead), cmd(5, ClassWrite), cmd(9, ClassWrite)}
+	if got := (FIFO{}).Pick(heads, all); got != 0 {
+		t.Errorf("Pick = %d, want 0 (seq 2)", got)
 	}
 	blocked := func(c *Command) bool { return c.Seq != 2 }
-	if got := (FIFO{}).Pick(heads, blocked); got != 0 {
-		t.Errorf("Pick = %d, want 0 (seq 5, oldest unblocked)", got)
+	if got := (FIFO{}).Pick(heads, blocked); got != 1 {
+		t.Errorf("Pick = %d, want 1 (seq 5, oldest unblocked)", got)
 	}
 	if got := (FIFO{}).Pick(heads, none); got != -1 {
 		t.Errorf("Pick = %d, want -1 when nothing is dispatchable", got)
@@ -48,9 +49,15 @@ func TestReadPriorityPrefersReads(t *testing.T) {
 		t.Errorf("Pick = %d, want 1 (the read despite its younger seq)", got)
 	}
 	// Without reads the oldest write goes.
-	heads = []*Command{cmd(4, ClassWrite), cmd(3, ClassWrite)}
-	if got := a.Pick(heads, all); got != 1 {
-		t.Errorf("Pick = %d, want 1 (oldest write)", got)
+	heads = []*Command{cmd(3, ClassWrite), cmd(4, ClassWrite)}
+	if got := a.Pick(heads, all); got != 0 {
+		t.Errorf("Pick = %d, want 0 (oldest write)", got)
+	}
+	// The oldest dispatchable read wins over an older blocked one.
+	heads = []*Command{cmd(1, ClassWrite), cmd(2, ClassRead), cmd(6, ClassRead)}
+	blocked := func(c *Command) bool { return c.Seq != 2 }
+	if got := a.Pick(heads, blocked); got != 2 {
+		t.Errorf("Pick = %d, want 2 (seq 6, oldest unblocked read)", got)
 	}
 }
 

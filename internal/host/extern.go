@@ -45,7 +45,6 @@ type ExtSubmission struct {
 	Complete Completion
 }
 
-
 // RunExternal services submissions from sub until the channel is closed
 // and every accepted command has completed, returning the run's report.
 // The gate paces the virtual clock against the wall clock: completions
@@ -71,8 +70,8 @@ func (s *Scheduler) RunExternal(sub <-chan ExtSubmission, gate *sim.Gate) (*Repo
 		}
 		if len(s.events) == 0 {
 			if !open {
-				if s.pendingHost > 0 || s.bg != nil {
-					return s.finish(fmt.Errorf("host: external run stalled with %d pending commands and no events", s.pendingHost))
+				if len(s.pending) > 0 || s.bg != nil {
+					return s.finish(fmt.Errorf("host: external run stalled with %d pending commands and no events", len(s.pending)))
 				}
 				return s.finish(nil)
 			}

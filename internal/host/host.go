@@ -15,12 +15,14 @@
 // loop — a priority queue keyed on sim.Time with a submission-sequence
 // tie-break — pops completion (and, open loop, arrival) events; after
 // every event a pluggable arbiter picks the next dispatchable command
-// from the chip-queue heads. Dispatch issues the command to the FTL via
-// its non-blocking ftl.Submitter path; the command's completion time is
-// recovered by diffing the device's per-resource FreeAt snapshots around
-// the call, so a request that fans out across several chips and channel
-// buses completes when its slowest fragment drains, independent of every
-// other in-flight request.
+// from the chip-queue heads. The chip queues are derived from one list
+// of undispatched commands in submission order, so selection work grows
+// with the commands in flight rather than with the chip count. Dispatch
+// issues the command to the FTL via its non-blocking ftl.Submitter path;
+// the command's completion time is recovered by diffing the device's
+// per-resource FreeAt snapshots around the call, so a request that fans
+// out across several chips and channel buses completes when its slowest
+// fragment drains, independent of every other in-flight request.
 //
 // Maintenance traffic (FTL.Tick: retention scrubbing) is admitted as a
 // background-class command that yields to pending host reads, up to a

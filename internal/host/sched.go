@@ -64,10 +64,10 @@ func (c Config) withDefaults() (Config, error) {
 // event is one entry of the central event loop: a command completion or
 // an open-loop arrival.
 type event struct {
-	at  sim.Time
-	ord int64 // deterministic tie-break: push order
-	cmd *Command // nil for arrival events
-	arrive int64 // arrival index when cmd is nil
+	at     sim.Time
+	ord    int64    // deterministic tie-break: push order
+	cmd    *Command // nil for arrival events
+	arrive int64    // arrival index when cmd is nil
 }
 
 // eventHeap is a min-heap on (at, ord). It deliberately does not
@@ -140,15 +140,27 @@ type Scheduler struct {
 	events eventHeap
 
 	chips    int
-	cq       [][]*Command // per-chip FIFO queues; index chips = unrouted
 	chipBusy []bool
-	heads    []*Command
 	bg       *Command // at most one pending background command
 
-	outstanding []*Command // submitted, incomplete host commands
-	pendingHost int        // undispatched host commands
-	pendingReads int       // undispatched host reads
-	inflight    int        // dispatched, incomplete host commands
+	// pending holds the undispatched host commands in submission order.
+	// The per-chip command queues are derived from it: a command heads
+	// its chip queue (index chips = unrouted) exactly when no older
+	// pending command routes to the same chip. heads/headIdx are the
+	// reusable output of collectHeads, and seen/seenGen its per-queue
+	// visit stamps (a generation counter, so no per-round clearing).
+	pending []*Command
+	heads   []*Command
+	headIdx []int
+	seen    []uint64
+	seenGen uint64
+	// canDispatch is dispatchable bound once: a method value allocates
+	// each time it is taken, and the arbiter needs one every round.
+	canDispatch func(*Command) bool
+
+	outstanding  []*Command // submitted, incomplete host commands
+	pendingReads int        // undispatched host reads
+	inflight     int        // dispatched, incomplete host commands
 
 	hostDispatched int64
 	wrRR           int
@@ -197,9 +209,9 @@ func New(dev *nand.Device, f ftl.FTL, cfg Config) (*Scheduler, error) {
 	}
 	s.sub, _ = f.(ftl.Submitter)
 	s.probe, _ = f.(ftl.ChipProbe)
-	s.cq = make([][]*Command, s.chips+1)
 	s.chipBusy = make([]bool, s.chips)
-	s.heads = make([]*Command, s.chips+1)
+	s.seen = make([]uint64, s.chips+1)
+	s.canDispatch = s.dispatchable
 	s.now = s.clock.Now()
 	s.issueCB = func(e error) { s.issueErr = e }
 	return s, nil
@@ -321,8 +333,8 @@ func (s *Scheduler) loop(onHostComplete func() error, onArrive func(idx int64, a
 			return err
 		}
 		if len(s.events) == 0 {
-			if s.pendingHost > 0 || s.bg != nil {
-				return fmt.Errorf("host: scheduler stalled with %d pending commands and no events", s.pendingHost)
+			if len(s.pending) > 0 || s.bg != nil {
+				return fmt.Errorf("host: scheduler stalled with %d pending commands and no events", len(s.pending))
 			}
 			return nil
 		}
@@ -353,7 +365,8 @@ func (s *Scheduler) pushArrival(at sim.Time, idx int64) {
 }
 
 // submit accepts one host request: it is sequenced, classified, tagged
-// with its submission-queue lane, and routed to a per-chip command queue.
+// with its submission-queue lane, routed to a per-chip command queue, and
+// appended to the pending list.
 func (s *Scheduler) submit(r workload.Request) error {
 	_, err := s.submitCmd(r)
 	return err
@@ -382,9 +395,8 @@ func (s *Scheduler) submitCmd(r workload.Request) (*Command, error) {
 		c.Class = ClassWrite
 	}
 	c.Chip = s.route(c)
-	s.cq[c.Chip] = append(s.cq[c.Chip], c)
+	s.pending = append(s.pending, c)
 	s.outstanding = append(s.outstanding, c)
-	s.pendingHost++
 	s.rep.Submitted++
 	s.rep.PerQueue[c.Queue]++
 	return c, nil
@@ -437,17 +449,32 @@ func (s *Scheduler) dispatchable(c *Command) bool {
 	if c.Chip < s.chips && s.chipBusy[c.Chip] {
 		return false
 	}
-	for _, q := range s.cq {
-		for _, o := range q {
-			if o.Seq >= c.Seq {
-				break // queues are seq-ordered
-			}
-			if conflicts(o, c) {
-				return false
-			}
+	for _, o := range s.pending {
+		if o.Seq >= c.Seq {
+			break // pending is seq-ordered
+		}
+		if conflicts(o, c) {
+			return false
 		}
 	}
 	return true
+}
+
+// collectHeads fills s.heads with the head of every non-empty chip
+// queue, in submission order, and s.headIdx with each head's index in
+// s.pending. One walk of the pending list: a command is a head when it
+// is the first pending command seen for its queue.
+func (s *Scheduler) collectHeads() {
+	s.seenGen++
+	s.heads, s.headIdx = s.heads[:0], s.headIdx[:0]
+	for i, c := range s.pending {
+		if s.seen[c.Chip] == s.seenGen {
+			continue
+		}
+		s.seen[c.Chip] = s.seenGen
+		s.heads = append(s.heads, c)
+		s.headIdx = append(s.headIdx, i)
+	}
 }
 
 // dispatchRound issues every currently dispatchable command: host
@@ -456,22 +483,16 @@ func (s *Scheduler) dispatchable(c *Command) bool {
 // background deferral budget ran out).
 func (s *Scheduler) dispatchRound() error {
 	for {
-		for i := range s.cq {
-			if len(s.cq[i]) > 0 {
-				s.heads[i] = s.cq[i][0]
-			} else {
-				s.heads[i] = nil
-			}
-		}
-		if i := s.cfg.Arbiter.Pick(s.heads, s.dispatchable); i >= 0 {
-			c := s.cq[i][0]
-			// Shift instead of re-slicing so the queue keeps its backing
-			// array: q = q[1:] strands capacity and forces the next append
-			// to reallocate. Queues are short (bounded by queue depth), so
-			// the copy is cheaper than the churn.
-			q := s.cq[i]
-			copy(q, q[1:])
-			s.cq[i] = q[:len(q)-1]
+		s.collectHeads()
+		if i := s.cfg.Arbiter.Pick(s.heads, s.canDispatch); i >= 0 {
+			c := s.heads[i]
+			// Remove in place so the list keeps its backing array and
+			// later appends do not reallocate. The list is short (bounded
+			// by the commands in flight), so the copy is cheap.
+			p, at := s.pending, s.headIdx[i]
+			copy(p[at:], p[at+1:])
+			p[len(p)-1] = nil
+			s.pending = p[:len(p)-1]
 			if err := s.dispatchHost(c); err != nil {
 				return err
 			}
@@ -497,7 +518,6 @@ func (s *Scheduler) dispatchRound() error {
 // dispatchHost issues one host command and enqueues the maintenance tick
 // its cadence position owes, mirroring the classic replay's tick points.
 func (s *Scheduler) dispatchHost(c *Command) error {
-	s.pendingHost--
 	if c.Class == ClassRead {
 		s.pendingReads--
 		if s.olderWritePending(c.Seq) {
@@ -527,14 +547,12 @@ func (s *Scheduler) dispatchHost(c *Command) error {
 // olderWritePending reports whether an undispatched write or trim with a
 // smaller sequence number exists — i.e. dispatching seq now overtakes it.
 func (s *Scheduler) olderWritePending(seq int64) bool {
-	for _, q := range s.cq {
-		for _, o := range q {
-			if o.Seq >= seq {
-				break
-			}
-			if o.Class == ClassWrite {
-				return true
-			}
+	for _, o := range s.pending {
+		if o.Seq >= seq {
+			break
+		}
+		if o.Class == ClassWrite {
+			return true
 		}
 	}
 	return false
@@ -676,7 +694,7 @@ func (s *Scheduler) complete(c *Command) {
 // sampleSeries records the queue-depth and chip-utilization time series
 // at the current event time.
 func (s *Scheduler) sampleSeries() {
-	s.rep.QueueDepth.Record(int64(s.now), float64(s.pendingHost+s.inflight))
+	s.rep.QueueDepth.Record(int64(s.now), float64(len(s.pending)+s.inflight))
 	horizon := s.dev.DrainTime().Sub(s.drain0)
 	if horizon > 0 {
 		busy := s.dev.TotalChipBusy() - s.busy0

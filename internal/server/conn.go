@@ -340,15 +340,30 @@ func (advanceError) Error() string {
 	return "server: ADVANCE is not servable live; the real-time gate owns the clock"
 }
 
+// deadlineWriter arms the connection's write deadline before every
+// socket write. Under the writer's bufio.Writer that is once per flush
+// (or per frame too large to buffer), so a healthy burst of replies
+// costs one timer update, while a peer that stops reading still fails
+// the write that finds its socket full after timeout.
+type deadlineWriter struct {
+	c       net.Conn
+	timeout time.Duration
+}
+
+func (w *deadlineWriter) Write(p []byte) (int, error) {
+	w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.c.Write(p)
+}
+
 // connWriter streams replies to the socket, batching frames between
-// channel stalls. A connection that cannot absorb its replies within
+// channel stalls. A connection that cannot absorb a socket write within
 // the write timeout is declared dead; remaining replies are drained and
 // discarded so completion callbacks never back up. The writer is the
 // one place every reply passes through, so it owns the downgrade to the
 // connection's negotiated status vocabulary.
 func (s *Server) connWriter(c net.Conn, version uint8, ioCh, auxCh <-chan wire.Reply, done chan<- struct{}) {
 	defer close(done)
-	bw := bufio.NewWriter(c)
+	bw := bufio.NewWriter(&deadlineWriter{c: c, timeout: s.cfg.WriteTimeout})
 	dead := false
 	// Frames are built in writer-owned scratch and handed to the buffered
 	// writer, which coalesces a burst of replies into one flush; the
@@ -360,7 +375,6 @@ func (s *Server) connWriter(c net.Conn, version uint8, ioCh, auxCh <-chan wire.R
 			return
 		}
 		r.Status = wire.DowngradeStatus(version, r.Status)
-		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		wbuf = wire.AppendReply(wbuf[:0], r)
 		if _, err := bw.Write(wbuf); err != nil {
 			dead = true
@@ -370,7 +384,6 @@ func (s *Server) connWriter(c net.Conn, version uint8, ioCh, auxCh <-chan wire.R
 		if dead {
 			return
 		}
-		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		if err := bw.Flush(); err != nil {
 			dead = true
 		}

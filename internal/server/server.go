@@ -122,9 +122,9 @@ type Config struct {
 	ErasePolicy string
 	Lifetime    bool
 
-	// WriteTimeout bounds one reply flush to a client socket; a
-	// connection that cannot absorb its replies within it is declared
-	// dead and drained without blocking the engines (default 5s).
+	// WriteTimeout bounds each socket write of replies to a client; a
+	// connection that cannot absorb one within it is declared dead and
+	// drained without blocking the engines (default 5s).
 	WriteTimeout time.Duration
 
 	// AdmitTimeout bounds how long a reader waits for its admission

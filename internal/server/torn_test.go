@@ -99,3 +99,53 @@ func TestTornConnection(t *testing.T) {
 		t.Fatalf("%d slots leaked", srv.Inflight())
 	}
 }
+
+// TestWriteDeadlineHealthyStream is the other half of the write-deadline
+// contract: the deadline bounds each socket write, not the connection's
+// lifetime, so a client that keeps reading a continuous stream of
+// replies for many multiples of WriteTimeout is never declared dead.
+func TestWriteDeadlineHealthyStream(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	srv, err := server.New(server.Config{WriteTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := server.Dial(srv.Addr(), "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// A writer declared dead discards every later reply; the read
+	// deadline turns that stall into a reported error instead of a hang.
+	server.RawConn(c).SetReadDeadline(time.Now().Add(10 * time.Second))
+	stream := mixedStream(t, int64(c.Welcome.Sectors), int(c.Welcome.PageSectors), 1000, 5)
+	start := time.Now()
+	sent := 0
+	cr, err := c.Run(func() (workload.Request, bool) {
+		if time.Since(start) < 12*timeout {
+			sent++
+			return stream[sent%len(stream)], true
+		}
+		return workload.Request{}, false
+	}, 8, nil)
+	if err != nil {
+		t.Fatalf("healthy stream after %v: %v", time.Since(start), err)
+	}
+	if cr.Ops != int64(sent) || cr.Errors != 0 || cr.Rejected != 0 {
+		t.Fatalf("healthy stream: sent %d, report %+v", sent, cr)
+	}
+	// The connection is still served after the stream.
+	if _, err := c.Stat(); err != nil {
+		t.Fatalf("STAT after the stream: %v", err)
+	}
+	rep, err := srv.Shutdown()
+	if err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if rep.Submitted != rep.Completed {
+		t.Fatalf("drain dropped commands: submitted %d completed %d", rep.Submitted, rep.Completed)
+	}
+}
