@@ -11,11 +11,6 @@ import (
 	"espftl/internal/nand"
 )
 
-// maxProgramReplays bounds how many fresh blocks a single pass may burn
-// through on consecutive injected program failures before the error is
-// surfaced instead of retried.
-const maxProgramReplays = 8
-
 // initSubBlock prepares bookkeeping for a block entering the subpage
 // region at round 0.
 func (f *FTL) initSubBlock(b nand.BlockID) {
@@ -407,7 +402,7 @@ func (f *FTL) subPass(lsns []int64, attrPerSector int64) (int, error) {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, nand.ErrProgramFail) || attempt >= maxProgramReplays {
+		if !errors.Is(err, nand.ErrProgramFail) || attempt >= ftl.MaxProgramReplays {
 			return 0, err
 		}
 		// The pass aborted: its fresh copies and the shifted survivors'
@@ -476,7 +471,7 @@ func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, in
 	if slot >= 0 {
 		chip = slot * g.Chips() / len(f.actives)
 	}
-	nb, err := f.allocSubBlock(chip)
+	nb, err := f.allocSubBlock(chip, fb)
 	if err != nil {
 		return 0, nil, 0, 0, err
 	}
@@ -492,8 +487,9 @@ func (f *FTL) relocateFailedPass(p nand.PageID) (nand.PageID, *subBlock, int, in
 // recovery, reclaiming or collecting from the full-page region when the
 // pool is at its reserve. The region quota is deliberately not consulted:
 // the retired block still counts against it until GC drains it, and
-// recovery must not deadlock on that transient.
-func (f *FTL) allocSubBlock(chip int) (nand.BlockID, error) {
+// recovery must not deadlock on that transient. failed is the retired
+// block whose pass is being replayed.
+func (f *FTL) allocSubBlock(chip int, failed nand.BlockID) (nand.BlockID, error) {
 	for guard := 0; guard < 64; guard++ {
 		if f.man.FreeCount() <= f.cfg.GCReserveBlocks && !f.reclaimEmptySubBlock() {
 			if err := f.full.CollectOnce(); err != nil {
@@ -506,7 +502,25 @@ func (f *FTL) allocSubBlock(chip int) (nand.BlockID, error) {
 			}
 		}
 	}
-	return 0, fmt.Errorf("core: cannot allocate a replacement subpage block: %s", f.debugState())
+	// The full-page region cannot lift the pool above its reserve: collect
+	// one subpage-region block instead. The collection runs inside the
+	// failed pass's hold window, so it must neither pick the failed block
+	// (which still maps the survivors the replay carries in RAM) nor reuse
+	// the pass's page-stamp scratch. If that does not lift the pool either,
+	// the spare capacity is gone: degrade to read-only service.
+	held := f.pageStampsBuf
+	f.pageStampsBuf = nil
+	err := f.subCol.Collect(&subTarget{f: f, fb: true, keep: &failed})
+	f.pageStampsBuf = held
+	if err != nil && !errors.Is(err, gc.ErrNoVictim) {
+		return 0, err
+	}
+	if f.man.FreeCount() > f.cfg.GCReserveBlocks {
+		if b, ok := f.man.AllocOnChip(ftl.RoleSub, chip); ok {
+			return b, nil
+		}
+	}
+	return 0, fmt.Errorf("core: cannot allocate a replacement subpage block: %s: %w", f.debugState(), ftl.ErrReadOnly)
 }
 
 // subWriteRun writes the given sectors into the subpage region using as
@@ -621,7 +635,7 @@ func (f *FTL) gcMoveGroup(survs []survivor, pageStamps []nand.Stamp) error {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, nand.ErrProgramFail) || attempt >= maxProgramReplays {
+		if !errors.Is(err, nand.ErrProgramFail) || attempt >= ftl.MaxProgramReplays {
 			return err
 		}
 		// The source copies on the victim are untouched; retire the
@@ -681,13 +695,19 @@ func (f *FTL) collectSubOnce() error {
 type subTarget struct {
 	f  *FTL
 	fb bool
+	// keep, when non-nil, is a block the collection must not pick.
+	keep *nand.BlockID
 }
 
 // View exposes the full (terminally exhausted) subpage-region blocks to
 // the victim policy, excluding any in-flight victim.
 func (t *subTarget) View() gc.View {
 	f := t.f
-	return f.man.GCView(ftl.RoleSub, f.dev.Geometry().SubpagesPerBlock(), f.subCol.InFlight)
+	exclude := f.subCol.InFlight
+	if t.keep != nil {
+		exclude = func(b nand.BlockID) bool { return b == *t.keep || f.subCol.InFlight(b) }
+	}
+	return f.man.GCView(ftl.RoleSub, f.dev.Geometry().SubpagesPerBlock(), exclude)
 }
 
 // Fallback reclaims the fullest-free open block when no block is

@@ -4,7 +4,6 @@
 package cgm
 
 import (
-	"errors"
 	"fmt"
 
 	"espftl/internal/ftl"
@@ -52,8 +51,6 @@ type FTL struct {
 	policyName string
 
 	pageSecs int
-	gcSlack  int
-	reserve  int
 
 	// slotsBuf is forEachPage's reusable slot scratch. forEachPage never
 	// nests (Write/Read/Trim each run one traversal at a time and the
@@ -79,8 +76,6 @@ func New(dev *nand.Device, cfg Config) (*FTL, error) {
 		man:      ftl.NewManager(dev),
 		ver:      ftl.NewVersions(cfg.LogicalSectors),
 		pageSecs: g.SubpagesPerPage,
-		gcSlack:  cfg.GC.BackgroundSlack,
-		reserve:  cfg.GCReserveBlocks,
 		slotsBuf: make([]int, g.SubpagesPerPage),
 	}
 	store, err := fullpage.New(dev, f.man, f.ver, &f.stats, ftl.RoleFull, cfg.LogicalSectors/ps, cfg.GCReserveBlocks, 0)
@@ -229,29 +224,9 @@ func (f *FTL) Trim(lsn int64, sectors int) error {
 // Flush implements ftl.FTL; cgmFTL is unbuffered.
 func (f *FTL) Flush() error { return nil }
 
-// Tick implements ftl.FTL: with background GC slack configured, run one
-// bounded collection step whenever the free pool is within the slack of
-// the out-of-space reserve (or a preempted victim is pending). Ticks
-// are background-class commands in the host scheduler, so these steps
-// yield to pending host reads via the BackgroundDeferLimit machinery.
-func (f *FTL) Tick() error {
-	if f.gcSlack <= 0 {
-		return nil
-	}
-	col := f.store.Collector()
-	if !col.Active() && f.man.FreeCount() > f.reserve+f.gcSlack {
-		return nil
-	}
-	if _, err := f.store.StepOnce(); err != nil {
-		// Nothing collectable yet (all blocks open or already clean) is
-		// not an error for opportunistic background work.
-		if errors.Is(err, gc.ErrNoVictim) {
-			return nil
-		}
-		return err
-	}
-	return nil
-}
+// Tick implements ftl.FTL: the full-page store's background collection
+// (see ftl.Allocator.Tick).
+func (f *FTL) Tick() error { return f.store.Tick() }
 
 // Stats implements ftl.FTL.
 func (f *FTL) Stats() ftl.Stats {

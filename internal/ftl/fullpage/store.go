@@ -7,24 +7,22 @@
 package fullpage
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
 	"espftl/internal/ftl"
-	"espftl/internal/gc"
 	"espftl/internal/mapping"
 	"espftl/internal/nand"
 )
 
-// maxProgramReplays bounds how many fresh blocks a single write may burn
-// through on consecutive injected program failures before the error is
-// surfaced instead of retried.
-const maxProgramReplays = 8
-
 // Store is a CGM region over a shared block manager. All methods are
 // in units of logical pages (LPN) and sector indices within a page.
 type Store struct {
+	// Allocator owns the host, GC and optional cold append stripes and
+	// paces the collector; the store supplies the refill policy
+	// (ensureCapacity) and the page moves (beginGC, workGC).
+	*ftl.Allocator
+
 	dev   *nand.Device
 	man   *ftl.Manager
 	ver   *ftl.Versions
@@ -37,24 +35,12 @@ type Store struct {
 
 	pageSecs int
 
-	// Append points are striped so consecutive page programs land on
-	// different chips and overlap on the timeline (the multi-channel
-	// parallelism the paper's platform provides). host and gc each rotate
-	// over their own stripe; cold is the optional third stripe host
-	// writes classified long-lived land on (see SetColdClassifier), so
-	// cold data packs into blocks that rarely need collecting.
-	host stripe
-	gc   stripe
-	cold stripe
-
 	// coldFn, when set, classifies a host-written logical page as
 	// long-lived (route to the cold stripe). Nil keeps the two-stripe
 	// layout, bit-identical to a store without segregation.
 	coldFn func(lpn int64) bool
 
-	reserve   int // free-pool floor that triggers GC
 	maxBlocks int // role quota (0 = unlimited)
-	blocks    int // blocks currently held by this role
 
 	// reclaim, when set, is tried before GC to free a block some other
 	// way (subFTL reclaims empty subpage-region blocks — the paper's
@@ -62,35 +48,9 @@ type Store struct {
 	// returned to the pool.
 	reclaim func() bool
 
-	// col drives victim selection and incremental draining; gcCursor is
-	// the per-victim page cursor the collector's checkpoint resumes at.
-	col      *gc.Collector
+	// gcCursor is the per-victim page cursor the collector's checkpoint
+	// resumes at.
 	gcCursor int
-	// gcView caches the manager view handed to the collector: its inputs
-	// (role, geometry, exclusion hook) are fixed for the store's life, and
-	// rebuilding it per step would put an allocation in every Tick.
-	gcView gc.View
-
-	// stampsFree recycles programPage's stamp scratch. A freelist rather
-	// than a single buffer because programPage nests: a host program can
-	// trigger GC whose relocations program pages of their own while the
-	// outer call's stamps are still live.
-	stampsFree [][]nand.Stamp
-}
-
-// getStamps takes a page-sized stamp buffer off the freelist.
-func (s *Store) getStamps() []nand.Stamp {
-	if n := len(s.stampsFree); n > 0 {
-		buf := s.stampsFree[n-1]
-		s.stampsFree = s.stampsFree[:n-1]
-		return buf
-	}
-	return make([]nand.Stamp, s.pageSecs)
-}
-
-// putStamps returns a buffer taken with getStamps.
-func (s *Store) putStamps(buf []nand.Stamp) {
-	s.stampsFree = append(s.stampsFree, buf)
 }
 
 // SetReclaim installs the cross-region reclaim hook.
@@ -102,82 +62,9 @@ func (s *Store) SetReclaim(fn func() bool) { s.reclaim = fn }
 // (the default) keeps the legacy two-stripe layout.
 func (s *Store) SetColdClassifier(fn func(lpn int64) bool) {
 	s.coldFn = fn
-	if fn != nil && len(s.cold.points) == 0 {
-		// Cold data trickles, so a narrow stripe suffices: it keeps the
-		// open-block overhead at two blocks instead of a chip-wide set.
-		width := 2
-		if g := s.dev.Geometry(); width > g.Chips() {
-			width = g.Chips()
-		}
-		s.cold = newStripe(width, s.dev.Geometry().Chips())
+	if fn != nil {
+		s.EnableCold()
 	}
-}
-
-// SetGC replaces the store's collector with one configured from opts.
-// Call it before any I/O; the default is whole-block greedy, which is
-// bit-identical to the legacy hardcoded GC.
-func (s *Store) SetGC(opts gc.Options) error {
-	p, err := gc.NewPolicy(opts)
-	if err != nil {
-		return err
-	}
-	s.col = gc.NewCollector(p, opts.StepPages)
-	return nil
-}
-
-// Collector exposes the store's collector for stats snapshots and
-// in-flight checks.
-func (s *Store) Collector() *gc.Collector { return s.col }
-
-// appendPoint is one open block being filled sequentially, pinned to a
-// preferred chip so the stripe covers the device's parallelism.
-type appendPoint struct {
-	block  nand.BlockID
-	cursor int
-	set    bool
-	chip   int
-}
-
-// stripe is a rotating set of append points.
-type stripe struct {
-	points []appendPoint
-	next   int
-}
-
-func newStripe(width, chips int) stripe {
-	if width < 1 {
-		width = 1
-	}
-	s := stripe{points: make([]appendPoint, width)}
-	for i := range s.points {
-		s.points[i].chip = i * chips / width
-	}
-	return s
-}
-
-// borrow returns a set append point with page capacity left, if any. When
-// the free pool is at its margin, a GC destination refill reuses another
-// point's open block instead of allocating: chip parallelism degrades but
-// one fresh destination block always covers a whole drain (a victim has at
-// most PagesPerBlock live pages), so collection never exhausts the pool.
-func (s *stripe) borrow(pagesPerBlock int) *appendPoint {
-	for i := range s.points {
-		if s.points[i].set && s.points[i].cursor < pagesPerBlock {
-			return &s.points[i]
-		}
-	}
-	return nil
-}
-
-// openBlocks counts currently held blocks in the stripe.
-func (s *stripe) openBlocks() int {
-	n := 0
-	for i := range s.points {
-		if s.points[i].set {
-			n++
-		}
-	}
-	return n
 }
 
 // New builds a store over logicalPages pages. reserve is the free-pool
@@ -226,23 +113,17 @@ func New(dev *nand.Device, man *ftl.Manager, ver *ftl.Versions, stats *ftl.Stats
 		rmap:      make([]int64, g.TotalPages()),
 		masks:     make([]uint64, logicalPages),
 		pageSecs:  g.SubpagesPerPage,
-		host:      newStripe(hostWidth, g.Chips()),
-		gc:        newStripe(gcWidth, g.Chips()),
-		reserve:   reserve,
 		maxBlocks: maxBlocks,
 	}
 	for i := range s.rmap {
 		s.rmap[i] = mapping.None
 	}
-	s.col = gc.NewCollector(gc.Greedy{}, 0)
+	s.Allocator = ftl.NewAllocator(dev, man, stats, role, ftl.TagFull, g.PagesPerBlock, reserve, hostWidth, gcWidth, s.ensureCapacity, s.beginGC, s.workGC)
 	return s, nil
 }
 
 // LogicalPages returns the store's logical page count.
 func (s *Store) LogicalPages() int64 { return s.table.Size() }
-
-// Blocks returns how many blocks the role currently holds.
-func (s *Store) Blocks() int { return s.blocks }
 
 // MappingBytes returns the coarse table footprint plus the per-page masks.
 func (s *Store) MappingBytes() int64 { return s.table.MemoryBytes() + int64(len(s.masks))*8 }
@@ -271,102 +152,23 @@ func (s *Store) ChipOf(lpn int64) int {
 	return g.ChipOf(g.BlockOfPage(nand.PageID(ppn)))
 }
 
-// ensureCapacity runs GC until the role can take one more block: the free
-// pool is above the reserve and the role quota has slack. With a budgeted
-// collector the reserve's upper half is a cushion instead: allocation
-// proceeds while bounded steps (the write tax and background ticks) repay
-// the debt, and whole-victim drains happen only at the hard floor — the
-// bound that turns occasional whole-drain stalls into per-write steps.
+// ensureCapacity is the store's refill policy, run before a host or cold
+// append point opens a block: collect until the free pool is above the
+// allocator's floor and the role quota has slack, trying the reclaim hook
+// first, then pay the write tax. With a budgeted collector the floor sits
+// below the reserve, so bounded steps (the write tax and background ticks)
+// repay the debt and whole-victim drains happen only at the hard floor.
 func (s *Store) ensureCapacity() error {
-	if s.col.Budgeted() {
-		for s.man.FreeCount() <= s.hardFloor() || (s.maxBlocks > 0 && s.blocks >= s.maxBlocks) {
-			if s.reclaim != nil && s.man.FreeCount() <= s.hardFloor() && s.reclaim() {
-				continue
-			}
-			if err := s.CollectOnce(); err != nil {
-				return err
-			}
-		}
-		return s.Pay()
-	}
-	for s.man.FreeCount() <= s.reserve || (s.maxBlocks > 0 && s.blocks >= s.maxBlocks) {
-		if s.reclaim != nil && s.man.FreeCount() <= s.reserve && s.reclaim() {
+	floor := s.Floor()
+	for s.man.FreeCount() <= floor || (s.maxBlocks > 0 && s.Held() >= s.maxBlocks) {
+		if s.reclaim != nil && s.man.FreeCount() <= floor && s.reclaim() {
 			continue
 		}
 		if err := s.CollectOnce(); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// hardFloor is the free-pool level below which even a budgeted collector
-// drains whole victims. The legacy reserve is not slack — it guarantees
-// the full-width GC destination stripe can roll over (all points refilling
-// in lockstep) without recursing into GC. The budgeted cushion instead
-// caps destination refills at one block per drain (allocPage borrows open
-// destination blocks past the margin), so the floor only needs: a failure
-// recovery margin (4), that one refill, and headroom for subFTL's
-// unguarded region-GC destination (up to 2 blocks mid-step).
-func (s *Store) hardFloor() int {
-	const need = 8
-	if need > s.reserve {
-		return s.reserve
-	}
-	return need
-}
-
-// Pay runs one bounded collection step if the collector is budgeted and
-// the free pool is at or below the reserve — the incremental write tax.
-// "Nothing collectable" is not a debt the payer can settle; it is
-// swallowed so callers stay on their host path.
-func (s *Store) Pay() error {
-	if !s.col.Budgeted() || s.man.FreeCount() > s.reserve {
-		return nil
-	}
-	if _, err := s.StepOnce(); err != nil && !errors.Is(err, gc.ErrNoVictim) {
-		return err
-	}
-	return nil
-}
-
-// allocPage returns the next physical page, rotating across the given
-// stripe's append points so consecutive programs hit different chips.
-// forGC marks the GC destination stripe, which must never itself trigger
-// GC (the reserve guarantees blocks are available).
-func (s *Store) allocPage(st *stripe, forGC bool) (nand.PageID, error) {
-	g := s.dev.Geometry()
-	ap := &st.points[st.next]
-	st.next = (st.next + 1) % len(st.points)
-	if ap.set && ap.cursor >= g.PagesPerBlock {
-		s.man.MarkFull(ap.block)
-		ap.set = false
-	}
-	if !ap.set {
-		if !forGC {
-			if err := s.ensureCapacity(); err != nil {
-				return 0, err
-			}
-		} else if s.col.Budgeted() && s.man.FreeCount() <= 4 {
-			// The pool is at its recovery margin: reuse an open destination
-			// block rather than allocate (see stripe.borrow). Legacy mode
-			// never gets here — its reserve covers a full-stripe rollover.
-			if bp := st.borrow(g.PagesPerBlock); bp != nil {
-				ap = bp
-			}
-		}
-	}
-	if !ap.set {
-		b, ok := s.man.AllocOnChip(s.role, ap.chip)
-		if !ok {
-			return 0, fmt.Errorf("fullpage: free pool exhausted (role %v)", s.role)
-		}
-		s.blocks++
-		ap.block, ap.set, ap.cursor = b, true, 0
-	}
-	p := g.PageOf(ap.block, ap.cursor)
-	ap.cursor++
-	return p, nil
+	return s.Pay()
 }
 
 // programPage writes the live sectors of lpn (per its mask) to a fresh
@@ -375,8 +177,8 @@ func (s *Store) allocPage(st *stripe, forGC bool) (nand.PageID, error) {
 // their current host version.
 func (s *Store) programPage(lpn int64, forGC bool) error {
 	g := s.dev.Geometry()
-	stamps := s.getStamps()
-	defer s.putStamps(stamps)
+	stamps := s.Stamps()
+	defer s.PutStamps(stamps)
 	mask := s.masks[lpn]
 	for slot := 0; slot < s.pageSecs; slot++ {
 		if mask&(1<<slot) == 0 {
@@ -386,50 +188,17 @@ func (s *Store) programPage(lpn int64, forGC bool) error {
 		lsn := lpn*int64(s.pageSecs) + int64(slot)
 		stamps[slot] = nand.Stamp{LSN: lsn, Version: s.ver.Current(lsn)}
 	}
-	st := &s.host
-	if forGC {
-		st = &s.gc
-	} else if s.coldFn != nil && s.coldFn(lpn) {
-		st = &s.cold
-		s.stats.LifetimeSegregated++
+	p, err := s.Program(stamps, forGC, !forGC && s.coldFn != nil && s.coldFn(lpn))
+	if err != nil {
+		return err
 	}
-	for attempt := 0; ; attempt++ {
-		p, err := s.allocPage(st, forGC)
-		if err != nil {
-			return err
-		}
-		if _, err := s.dev.ProgramPageTag(p, stamps, ftl.TagFull); err != nil {
-			// A program failure destroys only the fresh copy; the mapping
-			// still points at the old one, so replay on a new block and
-			// retire the failed one (grown bad).
-			if errors.Is(err, nand.ErrProgramFail) && attempt < maxProgramReplays {
-				s.retireFailed(g.BlockOfPage(p), st)
-				s.stats.ProgramFailMoves++
-				continue
-			}
-			return err
-		}
-		old := s.table.Update(lpn, int64(p))
-		s.rmap[p] = lpn
-		s.man.AddValid(g.BlockOfPage(p), 1)
-		if old != mapping.None {
-			s.man.AddValid(g.BlockOfPage(nand.PageID(old)), -1)
-		}
-		return nil
+	old := s.table.Update(lpn, int64(p))
+	s.rmap[p] = lpn
+	s.man.AddValid(g.BlockOfPage(p), 1)
+	if old != mapping.None {
+		s.man.AddValid(g.BlockOfPage(nand.PageID(old)), -1)
 	}
-}
-
-// retireFailed retires the append block a program failure hit and drops it
-// from its stripe so the replay allocates a fresh block. The block's state
-// moves to full; GC later drains whatever live pages it already held and
-// parks it in StateBad.
-func (s *Store) retireFailed(b nand.BlockID, st *stripe) {
-	s.man.Retire(b)
-	for i := range st.points {
-		if st.points[i].set && st.points[i].block == b {
-			st.points[i].set = false
-		}
-	}
+	return nil
 }
 
 // WriteSectors services a host (or eviction) write of the given sector
@@ -523,60 +292,18 @@ func (s *Store) TrimSectors(lpn int64, slots []int) {
 	}
 }
 
-// CollectOnce drains one whole victim through the collector: the legacy
-// foreground (out-of-space) contract of freeing exactly one block per
-// call. If a background step left a victim checkpointed mid-drain, that
-// victim is finished first — the unified in-flight exclusion.
-func (s *Store) CollectOnce() error {
-	if err := s.col.Collect((*storeTarget)(s)); err != nil {
-		if errors.Is(err, gc.ErrNoVictim) {
-			return fmt.Errorf("fullpage: GC has no victim (role %v, %d blocks, %d free)", s.role, s.blocks, s.man.FreeCount())
-		}
-		return err
-	}
-	return nil
-}
-
-// StepOnce runs one bounded background collection step (at most the
-// configured StepPages relocations), reporting whether a block was
-// freed. It returns gc.ErrNoVictim untranslated so opportunistic
-// callers (Tick) can swallow "nothing collectable yet" cheaply.
-func (s *Store) StepOnce() (bool, error) {
-	return s.col.Step((*storeTarget)(s))
-}
-
-// storeTarget is the Store's gc.Target face: the collector decides which
-// block to drain and when to preempt; these methods do the page moves.
-type storeTarget Store
-
-func (t *storeTarget) store() *Store { return (*Store)(t) }
-
-// View implements gc.Target. The in-flight victim is excluded from
-// selection by construction (it cannot be re-picked while checkpointed).
-func (t *storeTarget) View() gc.View {
-	s := t.store()
-	if s.gcView == nil {
-		s.gcView = s.man.GCView(s.role, s.dev.Geometry().PagesPerBlock, s.col.InFlight)
-	}
-	return s.gcView
-}
-
-// Fallback implements gc.Target; the full-page store has no secondary
-// victim source.
-func (t *storeTarget) Fallback() (nand.BlockID, bool) { return 0, false }
-
-// Begin implements gc.Target: one invocation per victim, cursor reset.
-func (t *storeTarget) Begin(b nand.BlockID) {
-	s := t.store()
+// beginGC starts a victim: one invocation per victim, cursor reset. The
+// collector decides which block to drain and when to preempt; beginGC and
+// workGC do the page moves.
+func (s *Store) beginGC(b nand.BlockID) {
 	s.stats.GCInvocations++
 	s.gcCursor = 0
 }
 
-// Work implements gc.Target: relocate the next live page of the victim.
-// Stale pages are skipped within one call (they cost no device work), so
-// the step budget counts actual relocations.
-func (t *storeTarget) Work(victim nand.BlockID) (int, bool, error) {
-	s := t.store()
+// workGC relocates the next live page of the victim. Stale pages are
+// skipped within one call (they cost no device work), so the step budget
+// counts actual relocations.
+func (s *Store) workGC(victim nand.BlockID) (int, bool, error) {
 	g := s.dev.Geometry()
 	for {
 		if s.gcCursor >= g.PagesPerBlock || s.man.Valid(victim) == 0 {
@@ -615,16 +342,6 @@ func (t *storeTarget) Work(victim nand.BlockID) (int, bool, error) {
 		done := s.gcCursor >= g.PagesPerBlock || s.man.Valid(victim) == 0
 		return 1, done, nil
 	}
-}
-
-// Release implements gc.Target: recycle the drained victim.
-func (t *storeTarget) Release(victim nand.BlockID) error {
-	s := t.store()
-	if err := s.man.Recycle(victim); err != nil {
-		return err
-	}
-	s.blocks--
-	return nil
 }
 
 // RecoverSummary reports the store-level half of a mount.
@@ -718,10 +435,9 @@ func (s *Store) Recover(blocks []ftl.ScannedBlock, superseded func(lsn int64, se
 		perBlock[g.BlockOfPage(nand.PageID(w.ppn))]++
 	}
 	for _, blk := range blocks {
-		if err := s.man.Adopt(blk.Block, s.role, perBlock[blk.Block]); err != nil {
+		if err := s.Adopt(blk.Block, perBlock[blk.Block]); err != nil {
 			return sum, err
 		}
-		s.blocks++
 		sum.BlocksAdopted++
 	}
 	return sum, nil

@@ -232,8 +232,8 @@ func TestQuotaEnforced(t *testing.T) {
 		if err := s.WriteSectors(lpn, []int{0, 1, 2, 3}, 0); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		if s.Blocks() > 6+1 {
-			t.Fatalf("store holds %d blocks, quota 6", s.Blocks())
+		if s.Held() > 6+1 {
+			t.Fatalf("store holds %d blocks, quota 6", s.Held())
 		}
 	}
 }

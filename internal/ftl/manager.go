@@ -419,44 +419,61 @@ func (m *Manager) WearSpread() (min, max int) {
 	return min, max
 }
 
-// WearDist snapshots the device-wide block wear distribution: erase
-// counts through an exact integer histogram, effective wear through a
-// deci-wear histogram (0.1 deep-erase-equivalent resolution for the p99;
-// min/max/mean are exact). Called from Stats(), not on any hot path.
+// WearDist snapshots the device-wide block wear distribution (see
+// WearAcc). Called from Stats(), not on any hot path.
 func (m *Manager) WearDist() WearDist {
-	n := m.dev.Geometry().TotalBlocks()
-	out := WearDist{Blocks: n}
-	if n == 0 {
-		return out
-	}
-	eh := metrics.NewIntHistogram(256)
-	wh := metrics.NewIntHistogram(1024)
-	out.EraseMin = m.dev.EraseCount(0)
-	out.WearMin = m.dev.EffectiveWear(0)
-	wearSum := 0.0
-	for b := 0; b < n; b++ {
+	acc := NewWearAcc()
+	acc.Add(m.dev)
+	return acc.Dist()
+}
+
+// WearAcc accumulates per-block wear into a WearDist: erase counts through
+// an exact integer histogram, effective wear through a deci-wear histogram
+// (0.1 deep-erase-equivalent resolution for the p99; min/max/mean are
+// exact). Adding several devices gives the distribution over the union of
+// their blocks — the fleet view of a sharded server.
+type WearAcc struct {
+	d       WearDist
+	eh, wh  *metrics.IntHistogram
+	wearSum float64
+}
+
+// NewWearAcc returns an empty accumulator.
+func NewWearAcc() *WearAcc {
+	return &WearAcc{eh: metrics.NewIntHistogram(256), wh: metrics.NewIntHistogram(1024)}
+}
+
+// Add records every block of dev.
+func (a *WearAcc) Add(dev *nand.Device) {
+	for b := 0; b < dev.Geometry().TotalBlocks(); b++ {
 		id := nand.BlockID(b)
-		e := m.dev.EraseCount(id)
-		w := m.dev.EffectiveWear(id)
-		eh.Record(e)
-		wh.Record(int(w*10 + 0.5))
-		if e < out.EraseMin {
-			out.EraseMin = e
+		e, w := dev.EraseCount(id), dev.EffectiveWear(id)
+		if a.d.Blocks == 0 || e < a.d.EraseMin {
+			a.d.EraseMin = e
 		}
-		if w < out.WearMin {
-			out.WearMin = w
+		if a.d.Blocks == 0 || w < a.d.WearMin {
+			a.d.WearMin = w
 		}
-		if w > out.WearMax {
-			out.WearMax = w
-		}
-		wearSum += w
+		a.d.WearMax = max(a.d.WearMax, w)
+		a.d.Blocks++
+		a.eh.Record(e)
+		a.wh.Record(int(w*10 + 0.5))
+		a.wearSum += w
 	}
-	out.EraseMax = eh.Max()
-	out.EraseMean = eh.Mean()
-	out.EraseP99 = eh.Quantile(0.99)
-	out.WearMean = wearSum / float64(n)
-	out.WearP99 = float64(wh.Quantile(0.99)) / 10
-	return out
+}
+
+// Dist returns the distribution over every block added so far.
+func (a *WearAcc) Dist() WearDist {
+	d := a.d
+	if d.Blocks == 0 {
+		return d
+	}
+	d.EraseMax = a.eh.Max()
+	d.EraseMean = a.eh.Mean()
+	d.EraseP99 = a.eh.Quantile(0.99)
+	d.WearMean = a.wearSum / float64(d.Blocks)
+	d.WearP99 = float64(a.wh.Quantile(0.99)) / 10
+	return d
 }
 
 // TotalValid sums valid units over all blocks of a role.

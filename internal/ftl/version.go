@@ -56,8 +56,10 @@ func (v *Versions) Clear(lsn int64) {
 }
 
 // CheckRange validates a host-addressed range against the tracker size.
+// The end is never computed as lsn+sectors, which wraps negative for an LSN
+// near 2^63 and would pass the check.
 func (v *Versions) CheckRange(lsn int64, sectors int) error {
-	if lsn < 0 || sectors <= 0 || lsn+int64(sectors) > v.Size() {
+	if lsn < 0 || sectors <= 0 || int64(sectors) > v.Size() || lsn > v.Size()-int64(sectors) {
 		return fmt.Errorf("ftl: range [%d,+%d) outside logical space of %d sectors", lsn, sectors, v.Size())
 	}
 	return nil

@@ -256,6 +256,3 @@ func NewPolicy(opts Options) (Policy, error) {
 	}
 	return nil, fmt.Errorf("gc: unknown policy %q (greedy, cost-benefit, windowed)", opts.Policy)
 }
-
-// PolicyNames lists the accepted canonical policy names, for flag help.
-func PolicyNames() []string { return []string{"greedy", "cost-benefit", "windowed"} }

@@ -55,7 +55,7 @@ type Counters struct {
 	Erases        int64
 	ShallowErases int64   // erases with depth < 1 (subset of Erases)
 	WearUnits     float64 // cumulative erase depth: effective wear inflicted, in deep-erase equivalents
-	BytesWritten  int64 // bytes physically programmed (subpage programs count S_sub)
+	BytesWritten  int64   // bytes physically programmed (subpage programs count S_sub)
 	BytesRead     int64
 	ReadFailures  int64 // uncorrectable / destroyed / unprogrammed reads
 	RetentionHits int64 // subset of ReadFailures caused by retention expiry
@@ -189,9 +189,6 @@ func (d *Device) Injector() *fault.Injector { return d.cfg.Fault }
 func (d *Device) FactoryBad(b BlockID) bool {
 	return d.cfg.Fault != nil && d.cfg.Fault.FactoryBad(int(b))
 }
-
-// SubpageReadEnabled reports whether the subpage-read extension is on.
-func (d *Device) SubpageReadEnabled() bool { return d.cfg.EnableSubpageRead }
 
 // DrainTime returns the virtual time at which every chip and channel has
 // finished all admitted work — the completion horizon used to compute

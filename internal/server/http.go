@@ -150,6 +150,7 @@ func (s *Server) serveStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	var page MetricsPage
+	wear := ftl.NewWearAcc()
 	for _, sh := range s.shards {
 		sm := ShardMetrics{Index: sh.idx}
 		// Each shard guard's lock is its engine's submission lock: the
@@ -159,6 +160,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		sh.guard.Do(func() {
 			sm.Device = sh.dev.Counters()
 			sm.FTL = sh.guard.Unwrap().Stats()
+			wear.Add(sh.dev)
 		})
 		if sh.gate.Realtime() {
 			sm.VirtualNowNS = int64(sh.gate.VirtualNow())
@@ -171,10 +173,11 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		page.Shards = append(page.Shards, sm)
 	}
+	page.FTL.Wear = wear.Dist()
 	writeJSON(w, page)
 }
 
-// sumCounters adds src's integer counter fields into dst, recursing
+// sumCounters adds src's numeric counter fields into dst, recursing
 // into nested structs (ftl.Stats mirrors nand.Counters). Labels like
 // GCPolicy and per-shard size constants like SectorBytes keep dst's
 // value, so the merged view inherits them from shard 0. Reflection
@@ -183,9 +186,10 @@ func sumCounters(dst, src interface{}) {
 	sumValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem())
 }
 
-// mergeKeeps are integer fields that are sizes, not counters: summing
-// them across shards would be nonsense.
-var mergeKeeps = map[string]bool{"SectorBytes": true}
+// mergeKeeps are fields that are not counters, so summing them across
+// shards would be nonsense: SectorBytes is a size, and Wear is a
+// distribution the fleet view rebuilds from every shard's blocks.
+var mergeKeeps = map[string]bool{"SectorBytes": true, "Wear": true}
 
 func sumValue(dst, src reflect.Value) {
 	t := dst.Type()
@@ -199,6 +203,8 @@ func sumValue(dst, src reflect.Value) {
 			d.SetInt(d.Int() + s.Int())
 		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 			d.SetUint(d.Uint() + s.Uint())
+		case reflect.Float32, reflect.Float64:
+			d.SetFloat(d.Float() + s.Float())
 		case reflect.Struct:
 			sumValue(d, s)
 		}

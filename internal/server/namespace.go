@@ -77,11 +77,13 @@ func newNamespace(name string, sectors int64) *namespace {
 	}
 }
 
-// bounds validates a namespace-relative request window.
+// bounds validates a namespace-relative request window. The end is never
+// computed as lsn+sectors: a client-chosen LSN near 2^63 would wrap it
+// negative and pass the check.
 func (n *namespace) bounds(lsn int64, sectors int) error {
-	if lsn < 0 || sectors < 0 || lsn+int64(sectors) > n.sectors {
-		return fmt.Errorf("server: range [%d,%d) outside namespace %s (%d sectors)",
-			lsn, lsn+int64(sectors), n.name, n.sectors)
+	if lsn < 0 || sectors < 0 || int64(sectors) > n.sectors || lsn > n.sectors-int64(sectors) {
+		return fmt.Errorf("server: range [%d,+%d) outside namespace %s (%d sectors)",
+			lsn, sectors, n.name, n.sectors)
 	}
 	return nil
 }

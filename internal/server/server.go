@@ -344,11 +344,8 @@ func (s *Server) Inflight() int {
 func (s *Server) ShardCount() int { return len(s.shards) }
 
 // Device exposes shard 0's device for tests (fault arming, state probes
-// after drain); ShardDevice addresses the others.
+// after drain).
 func (s *Server) Device() *nand.Device { return s.shards[0].dev }
-
-// ShardDevice exposes one shard's device.
-func (s *Server) ShardDevice(i int) *nand.Device { return s.shards[i].dev }
 
 // FTL exposes shard 0's FTL behind its concurrency guard; ShardFTL
 // addresses the others.
@@ -361,23 +358,9 @@ func (s *Server) ShardFTL(i int) *ftl.Guard { return s.shards[i].guard }
 // admission slots.
 func (s *Server) ShardInflight(i int) int { return s.shards[i].inflight() }
 
-// ShardReport returns one shard's engine report (nil before that
-// shard's engine has retired).
-func (s *Server) ShardReport(i int) *host.Report {
-	select {
-	case <-s.shards[i].engineDone:
-		return s.shards[i].rep
-	default:
-		return nil
-	}
-}
-
 // MountReport returns the recovery report of shard 0's serve-time
 // mount.
 func (s *Server) MountReport() ftl.MountReport { return s.shards[0].mounted }
-
-// ShardMountReport returns one shard's serve-time mount report.
-func (s *Server) ShardMountReport(i int) ftl.MountReport { return s.shards[i].mounted }
 
 // NamespaceVersion resolves a namespace-relative sector to its owning
 // shard and returns that FTL's version counter for it — the

@@ -3,6 +3,7 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"espftl/internal/host"
 	"espftl/internal/server"
 	"espftl/internal/sim"
+	"espftl/internal/wire"
 	"espftl/internal/workload"
 )
 
@@ -429,6 +431,49 @@ func TestOutOfRangeRejected(t *testing.T) {
 	}
 	if len(failed) != 1 || failed[0].LSN != int64(c.Welcome.Sectors) {
 		t.Fatalf("wrong request failed: %+v", failed)
+	}
+}
+
+// TestLSNOverflowRejected: a WRITE frame whose LSN sits just below 2^63
+// must not wrap the bounds check and reach the FTL (where it used to panic
+// the engine goroutine and kill the process). The frame gets a typed error
+// reply, and the server keeps serving a fresh, well-formed client.
+func TestLSNOverflowRejected(t *testing.T) {
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	c, err := server.Dial(srv.Addr(), "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cmd := wire.Cmd{Op: wire.OpWrite, Tag: 7, Arg: math.MaxInt64 - 3, Sectors: 8}
+	if err := wire.WriteCmd(conn(c), cmd); err != nil {
+		t.Fatal(err)
+	}
+	r, err := wire.ReadReply(conn(c))
+	if err != nil {
+		t.Fatalf("no reply to the overflowing write: %v", err)
+	}
+	if r.Tag != 7 || r.Status != wire.StatusErr {
+		t.Fatalf("reply tag %d status %s (%s), want tag 7 %s", r.Tag, wire.StatusName(r.Status), r.Payload, wire.StatusName(wire.StatusErr))
+	}
+	c2, err := server.Dial(srv.Addr(), "default")
+	if err != nil {
+		t.Fatalf("server gone after the overflowing write: %v", err)
+	}
+	defer c2.Close()
+	cr, err := c2.RunRequests([]workload.Request{
+		{Op: workload.OpWrite, LSN: 0, Sectors: 4},
+		{Op: workload.OpRead, LSN: 0, Sectors: 4},
+	}, 1, nil)
+	if err != nil || cr.Ops != 2 || cr.Errors != 0 {
+		t.Fatalf("well-formed client after the overflow: %+v, %v", cr, err)
 	}
 }
 

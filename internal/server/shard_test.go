@@ -2,8 +2,10 @@ package server_test
 
 import (
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"espftl/internal/ftltest"
 	"espftl/internal/nand"
 	"espftl/internal/server"
+	"espftl/internal/sim"
 	"espftl/internal/wire"
 	"espftl/internal/workload"
 )
@@ -636,5 +639,84 @@ func TestStatsHammerShardedDrain(t *testing.T) {
 	}
 	if sawAllShards.Load() == 0 {
 		t.Fatal("no scrape ever observed all shards")
+	}
+}
+
+// TestFleetWearMerge: the fleet /metrics wear view is the distribution
+// over the union of every shard's blocks, and the cumulative wear units
+// are the sum over shards — not summed per-shard summaries (min/max/p99)
+// or shard 0's floats alone.
+func TestFleetWearMerge(t *testing.T) {
+	var stacks []server.ShardStack
+	var devs []*nand.Device
+	for i, base := range []int{3, 9} {
+		dev, err := nand.NewDevice(func() nand.Config {
+			c := nand.DefaultConfig()
+			c.Geometry = ftltest.TinyGeometry()
+			return c
+		}(), sim.NewClock(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Shard 1 wears much harder than shard 0, and some of its erases
+		// run shallow so effective wear diverges from erase counts.
+		for b := 0; b < dev.Geometry().TotalBlocks(); b++ {
+			id := nand.BlockID(b)
+			dev.SetEraseCount(id, base+b%(4+3*i))
+			depth := nand.DepthFull
+			if i == 1 && b%3 == 0 {
+				depth = 0.5
+			}
+			if _, err := dev.EraseAt(id, depth); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := core.New(dev, core.DefaultConfig(512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, dev)
+		stacks = append(stacks, server.ShardStack{Device: dev, FTL: f, LogicalSectors: 512})
+	}
+	srv, err := server.New(server.Config{HTTPAddr: "127.0.0.1:0", Stacks: stacks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	resp, err := http.Get("http://" + srv.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var mp server.MetricsPage
+	if err := json.NewDecoder(resp.Body).Decode(&mp); err != nil {
+		t.Fatal(err)
+	}
+
+	var erases []int
+	var wears []float64
+	var units float64
+	for _, dev := range devs {
+		for b := 0; b < dev.Geometry().TotalBlocks(); b++ {
+			erases = append(erases, dev.EraseCount(nand.BlockID(b)))
+			wears = append(wears, dev.EffectiveWear(nand.BlockID(b)))
+		}
+		units += dev.Counters().WearUnits
+	}
+	sort.Ints(erases)
+	sort.Float64s(wears)
+	rank := int(math.Ceil(0.99*float64(len(erases)))) - 1 // nearest-rank p99
+	w := mp.FTL.Wear
+	if w.Blocks != len(erases) || w.EraseMin != erases[0] || w.EraseMax != erases[len(erases)-1] || w.EraseP99 != erases[rank] {
+		t.Errorf("fleet erase view %+v, want blocks %d min %d max %d p99 %d", w, len(erases), erases[0], erases[len(erases)-1], erases[rank])
+	}
+	if want := math.Round(wears[rank]*10) / 10; w.WearMin != wears[0] || w.WearMax != wears[len(wears)-1] || w.WearP99 != want {
+		t.Errorf("fleet wear view %+v, want min %v max %v p99 %v", w, wears[0], wears[len(wears)-1], want)
+	}
+	if mp.Device.WearUnits != units || mp.FTL.Device.WearUnits != units {
+		t.Errorf("fleet wear units device %v ftl %v, want the sum %v", mp.Device.WearUnits, mp.FTL.Device.WearUnits, units)
 	}
 }
