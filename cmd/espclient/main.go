@@ -118,7 +118,7 @@ func main() {
 			}
 		}
 		ps := int64(wl.PageSectors)
-		sectors := int64(float64(wl.Sectors) * *span) / ps * ps
+		sectors := int64(*span*float64(wl.Sectors)) / ps * ps
 		if sectors <= 0 {
 			fatal(fmt.Errorf("namespace too small for -span %g", *span))
 		}
@@ -208,26 +208,14 @@ func main() {
 	}
 }
 
-// mergeReports folds the per-connection reports into one: counters sum,
-// latency histograms merge bucket-by-bucket.
+// mergeReports folds the per-connection reports into the first with
+// metrics.Add: counters sum, the status counts and latency histograms
+// merge bucket by bucket.
 func mergeReports(crs []*server.ClientReport) *server.ClientReport {
-	out := crs[0]
 	for _, cr := range crs[1:] {
-		out.Ops += cr.Ops
-		out.Errors += cr.Errors
-		out.Rejected += cr.Rejected
-		out.Retries += cr.Retries
-		out.Reconnects += cr.Reconnects
-		for st, n := range cr.Statuses {
-			if out.Statuses == nil {
-				out.Statuses = make(map[uint8]int64)
-			}
-			out.Statuses[st] += n
-		}
-		out.Virt.Merge(cr.Virt)
-		out.Wall.Merge(cr.Wall)
+		metrics.Add(crs[0], cr)
 	}
-	return out
+	return crs[0]
 }
 
 func printLatency(label string, h *metrics.Histogram) {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 
+	"espftl/internal/metrics"
 	"espftl/internal/nand"
 	"espftl/internal/sim"
 	"espftl/internal/workload"
@@ -193,12 +194,12 @@ type Stats struct {
 	ProgramFailMoves int64 // writes replayed on a fresh block after a program failure
 	ScrubRewrites    int64 // subFTL: near-expiry subpages rewritten by the scrubber
 	// GrownBadBlocks snapshots the retired-block count (factory plus
-	// grown) at Stats() time; like MappingBytes it is not diffed by Sub.
-	GrownBadBlocks int64
+	// grown) at Stats() time: a gauge, summed across shards but not
+	// diffed by Sub.
+	GrownBadBlocks int64 `metrics:"gauge"`
 
 	// GCPolicy names the victim-selection policy driving the collectors
-	// ("greedy", "cost-benefit", "windowed"); a label, not a counter, so
-	// Sub keeps it.
+	// ("greedy", "cost-benefit", "windowed"); a label, not a counter.
 	GCPolicy string
 
 	// Lifetime subsystem (all zero unless internal/lifetime is wired in).
@@ -221,74 +222,31 @@ type Stats struct {
 	// subFTL's full-page region.
 	LifetimeSegregated int64
 
-	// Wear snapshots the per-block wear distribution at Stats() time;
-	// like MappingBytes it is not diffed by Sub.
-	Wear WearDist
+	// Wear snapshots the per-block wear distribution at Stats() time. It
+	// is neither diffed nor summed: a fleet view rebuilds it from every
+	// shard's blocks through WearAcc.
+	Wear WearDist `metrics:"keep"`
 
-	// MappingBytes is the L2P translation memory footprint.
-	MappingBytes int64
+	// MappingBytes is the L2P translation memory footprint (a gauge).
+	MappingBytes int64 `metrics:"gauge"`
 
 	// SectorBytes is the logical sector size, recorded so derived metrics
 	// need no out-of-band configuration.
-	SectorBytes int64
+	SectorBytes int64 `metrics:"keep"`
 
 	// Device mirrors the NAND-level counters at snapshot time.
 	Device nand.Counters
 }
 
 // Sub returns the counter-wise difference s - prev, used by the experiment
-// harness to isolate the measured phase from preconditioning. Derived and
-// size fields (MappingBytes, SectorBytes) keep s's values.
+// harness to isolate the measured phase from preconditioning. It is
+// metrics.Sub over the field kinds declared on Stats: every counter
+// (nand.Counters included) is diffed, while gauges (GrownBadBlocks,
+// MappingBytes), labels and kept fields (Wear, SectorBytes) keep s's
+// values.
 func (s Stats) Sub(prev Stats) Stats {
-	d := s
-	d.HostWriteReqs -= prev.HostWriteReqs
-	d.HostReadReqs -= prev.HostReadReqs
-	d.HostTrimReqs -= prev.HostTrimReqs
-	d.HostSectorsWritten -= prev.HostSectorsWritten
-	d.HostSectorsRead -= prev.HostSectorsRead
-	d.SmallWriteReqs -= prev.SmallWriteReqs
-	d.SmallHostBytes -= prev.SmallHostBytes
-	d.SmallFlashBytes -= prev.SmallFlashBytes
-	d.RMWOps -= prev.RMWOps
-	d.GCInvocations -= prev.GCInvocations
-	d.GCMovedSectors -= prev.GCMovedSectors
-	d.GCSteps -= prev.GCSteps
-	d.GCPagesCopied -= prev.GCPagesCopied
-	d.GCPreemptions -= prev.GCPreemptions
-	d.RoundAdvances -= prev.RoundAdvances
-	d.SubShifts -= prev.SubShifts
-	d.Evictions -= prev.Evictions
-	d.RetentionMoves -= prev.RetentionMoves
-	d.RegionReclaims -= prev.RegionReclaims
-	d.BufferAbsorbed -= prev.BufferAbsorbed
-	d.ReadBufferHits -= prev.ReadBufferHits
-	d.ProgramFailMoves -= prev.ProgramFailMoves
-	d.ScrubRewrites -= prev.ScrubRewrites
-	d.LifetimeObserves -= prev.LifetimeObserves
-	d.LifetimeHotWrites -= prev.LifetimeHotWrites
-	d.LifetimeColdWrites -= prev.LifetimeColdWrites
-	d.LifetimeUnknownWrites -= prev.LifetimeUnknownWrites
-	d.LifetimeSteered -= prev.LifetimeSteered
-	d.LifetimeSegregated -= prev.LifetimeSegregated
-	d.Device.PageReads -= prev.Device.PageReads
-	d.Device.SubpageReads -= prev.Device.SubpageReads
-	d.Device.PagePrograms -= prev.Device.PagePrograms
-	d.Device.SubPrograms -= prev.Device.SubPrograms
-	d.Device.Erases -= prev.Device.Erases
-	d.Device.BytesWritten -= prev.Device.BytesWritten
-	d.Device.BytesRead -= prev.Device.BytesRead
-	d.Device.ReadFailures -= prev.Device.ReadFailures
-	d.Device.RetentionHits -= prev.Device.RetentionHits
-	d.Device.ReadRetries -= prev.Device.ReadRetries
-	d.Device.RetriedReads -= prev.Device.RetriedReads
-	d.Device.RetryFailures -= prev.Device.RetryFailures
-	d.Device.ProgramFailures -= prev.Device.ProgramFailures
-	d.Device.EraseFailures -= prev.Device.EraseFailures
-	d.Device.ShallowErases -= prev.Device.ShallowErases
-	d.Device.WearUnits -= prev.Device.WearUnits
-	d.Device.OOBScans -= prev.Device.OOBScans
-	d.Device.TornPrograms -= prev.Device.TornPrograms
-	return d
+	metrics.Sub(&s, &prev)
+	return s
 }
 
 // WearDist is a snapshot of the per-block wear distribution of a device:

@@ -21,13 +21,13 @@ func (f *racyFTL) Write(lsn int64, sectors int, sync bool) error {
 	f.st.HostSectorsWritten += int64(sectors)
 	return nil
 }
-func (f *racyFTL) Read(lsn int64, sectors int) error  { f.reads++; return nil }
-func (f *racyFTL) Trim(lsn int64, sectors int) error  { f.trims++; return nil }
-func (f *racyFTL) Flush() error                       { f.flushes++; return nil }
-func (f *racyFTL) Tick() error                        { f.ticks++; return nil }
-func (f *racyFTL) Stats() Stats                       { return f.st }
-func (f *racyFTL) Check() error                       { return nil }
-func (f *racyFTL) Recover() (MountReport, error)      { return MountReport{}, nil }
+func (f *racyFTL) Read(lsn int64, sectors int) error { f.reads++; return nil }
+func (f *racyFTL) Trim(lsn int64, sectors int) error { f.trims++; return nil }
+func (f *racyFTL) Flush() error                      { f.flushes++; return nil }
+func (f *racyFTL) Tick() error                       { f.ticks++; return nil }
+func (f *racyFTL) Stats() Stats                      { return f.st }
+func (f *racyFTL) Check() error                      { return nil }
+func (f *racyFTL) Recover() (MountReport, error)     { return MountReport{}, nil }
 
 // probeFTL adds the optional interfaces.
 type probeFTL struct {
@@ -39,7 +39,7 @@ func (f *probeFTL) Submit(r workload.Request, done CompletionFunc) {
 	f.submits++
 	SubmitSync(&f.racyFTL, r, done)
 }
-func (f *probeFTL) ChipOf(lsn int64) int      { return int(lsn % 7) }
+func (f *probeFTL) ChipOf(lsn int64) int       { return int(lsn % 7) }
 func (f *probeFTL) VersionOf(lsn int64) uint32 { return uint32(lsn + 1) }
 
 // TestGuardConcurrentStats is the satellite-1 hammer: one goroutine

@@ -17,31 +17,22 @@ import (
 // deterministic, single-caller world even with hundreds of concurrent
 // clients upstream.
 
-// Completion receives a completed command. It is the recycling-aware
-// alternative to ExtSubmission.Done: a command delivered through a
-// Completion is returned to the scheduler's freelist as soon as
-// Complete returns, so the receiver must copy anything it needs and
-// must not retain the *Command past the call.
+// Completion receives a completed command. It is invoked exactly once
+// on the scheduler goroutine when the command completes (or is rejected
+// before queueing); the command's Err field carries the FTL error, if
+// any, and Arrival/Complete give its virtual-time lifecycle. Complete
+// must not block: it runs inside the event loop, and a slow receiver
+// stalls every tenant. The command returns to the scheduler's freelist
+// as soon as Complete returns, so the receiver must copy anything it
+// needs and must not retain the *Command past the call.
 type Completion interface {
 	Complete(c *Command)
 }
 
-// ExtSubmission is one externally produced request plus its completion
-// callback.
+// ExtSubmission is one externally produced request plus the receiver
+// of its outcome (a nil Complete drops it).
 type ExtSubmission struct {
-	Req workload.Request
-	// Done is invoked exactly once on the scheduler goroutine when the
-	// command completes (or is rejected before queueing). The command's
-	// Err field carries the FTL error, if any; Arrival/Complete give its
-	// virtual-time lifecycle. Done must not block: it runs inside the
-	// event loop, and a slow callback stalls every tenant. Commands
-	// delivered through Done are never recycled — the receiver may keep
-	// the pointer.
-	Done func(c *Command)
-	// Complete, when non-nil, takes precedence over Done and opts the
-	// command into record recycling (see Completion). The steady-state
-	// serve path uses it so sustained traffic allocates no Command
-	// records.
+	Req      workload.Request
 	Complete Completion
 }
 
@@ -142,8 +133,6 @@ func (s *Scheduler) RunExternal(sub <-chan ExtSubmission, gate *sim.Gate) (*Repo
 			if c.comp != nil {
 				c.comp.Complete(c)
 				s.freeCmd(c)
-			} else if c.done != nil {
-				c.done(c)
 			}
 		}
 		s.sampleSeries()
@@ -185,22 +174,17 @@ func (s *Scheduler) acceptExt(r ExtSubmission, gate *sim.Gate) {
 	c, err := s.submitCmd(r.Req)
 	if err != nil {
 		s.rep.Rejected++
-		if r.Complete == nil && r.Done == nil {
+		if r.Complete == nil {
 			return
 		}
 		rc := s.newCmd()
 		rc.Req, rc.Err, rc.Chip = r.Req, err, s.chips
 		rc.Arrival, rc.Dispatch, rc.Complete = s.now, s.now, s.now
 		rc.DispatchIdx = -1
-		if r.Complete != nil {
-			r.Complete.Complete(rc)
-			s.freeCmd(rc)
-		} else if r.Done != nil {
-			r.Done(rc)
-		}
+		r.Complete.Complete(rc)
+		s.freeCmd(rc)
 		return
 	}
-	c.done = r.Done
 	c.comp = r.Complete
 }
 

@@ -12,6 +12,16 @@ import (
 	"espftl/internal/workload"
 )
 
+// doneFunc adapts a callback to host.Completion. The scheduler recycles
+// the command record once Complete returns, so the callback gets a copy
+// it may keep.
+type doneFunc func(c *host.Command)
+
+func (f doneFunc) Complete(c *host.Command) {
+	cp := *c
+	f(&cp)
+}
+
 // pump feeds n generated requests through an external scheduler run,
 // keeping up to window submissions outstanding, and returns every
 // completed command in completion order.
@@ -24,12 +34,12 @@ func pump(t *testing.T, s *host.Scheduler, gen workload.Generator, n, window int
 	go func() {
 		for i := 0; i < n; i++ {
 			slots <- struct{}{}
-			sub <- host.ExtSubmission{Req: gen.Next(), Done: func(c *host.Command) {
+			sub <- host.ExtSubmission{Req: gen.Next(), Complete: doneFunc(func(c *host.Command) {
 				mu.Lock()
 				done = append(done, c)
 				mu.Unlock()
 				<-slots
-			}}
+			})}
 		}
 		close(sub)
 	}()
@@ -53,15 +63,15 @@ func pumpOrdered(t *testing.T, s *host.Scheduler, gen workload.Generator, n, win
 	var done []*host.Command
 	sent := 0
 	var send func()
-	onDone := func(c *host.Command) {
+	onDone := doneFunc(func(c *host.Command) {
 		done = append(done, c)
 		send()
-	}
+	})
 	send = func() {
 		if sent == n {
 			return
 		}
-		sub <- host.ExtSubmission{Req: gen.Next(), Done: onDone}
+		sub <- host.ExtSubmission{Req: gen.Next(), Complete: onDone}
 		sent++
 		if sent == n {
 			close(sub)
@@ -207,12 +217,12 @@ func TestRunExternalRejection(t *testing.T) {
 	var rejected *host.Command
 	go func() {
 		sub <- host.ExtSubmission{
-			Req:  workload.Request{Op: workload.OpAdvance, Gap: 1},
-			Done: func(c *host.Command) { rejected = c },
+			Req:      workload.Request{Op: workload.OpAdvance, Gap: 1},
+			Complete: doneFunc(func(c *host.Command) { rejected = c }),
 		}
 		sub <- host.ExtSubmission{
-			Req:  workload.Request{Op: workload.OpWrite, LSN: 0, Sectors: 4},
-			Done: func(*host.Command) {},
+			Req:      workload.Request{Op: workload.OpWrite, LSN: 0, Sectors: 4},
+			Complete: doneFunc(func(*host.Command) {}),
 		}
 		close(sub)
 	}()
@@ -295,10 +305,10 @@ func TestRunExternalConcurrentProducers(t *testing.T) {
 			window := make(chan struct{}, 4)
 			for i := 0; i < perProducer; i++ {
 				window <- struct{}{}
-				sub <- host.ExtSubmission{Req: gen.Next(), Done: func(c *host.Command) {
+				sub <- host.ExtSubmission{Req: gen.Next(), Complete: doneFunc(func(c *host.Command) {
 					completed.Add(1)
 					<-window
-				}}
+				})}
 			}
 			for i := 0; i < cap(window); i++ { // drain: all in-flight done
 				window <- struct{}{}

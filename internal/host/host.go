@@ -118,11 +118,9 @@ type Command struct {
 
 	// deferred counts events a background command yielded to host reads.
 	deferred int
-	// done delivers the completed command to an external submitter.
-	done func(*Command)
-	// comp is the recycling-aware delivery path: when set, it is invoked
-	// instead of done and the record returns to the scheduler freelist
-	// as soon as Complete returns.
+	// comp delivers the completed command to an external submitter; the
+	// record returns to the scheduler freelist as soon as Complete
+	// returns.
 	comp Completion
 }
 
@@ -130,12 +128,14 @@ type Command struct {
 // is never negative (completion events are clamped to the arrival).
 func (c *Command) latency() sim.Duration { return c.Complete.Sub(c.Arrival) }
 
-// Report aggregates everything one scheduler run measured.
+// Report aggregates everything one scheduler run measured. Its field
+// kinds (see metrics.Add) let the sharded server merge per-shard reports
+// into one fleet report.
 type Report struct {
 	// Arbiter, Depth and Queues echo the configuration.
 	Arbiter string
-	Depth   int
-	Queues  int
+	Depth   int `metrics:"keep"`
+	Queues  int `metrics:"keep"`
 
 	// Submitted/Dispatched/Completed count host commands; Background
 	// counts maintenance commands.
@@ -171,9 +171,10 @@ type Report struct {
 	Fanout *metrics.IntHistogram
 
 	// QueueDepth samples outstanding host commands over event time, and
-	// ChipUtil samples the device's mean chip busy fraction.
-	QueueDepth *metrics.Series
-	ChipUtil   *metrics.Series
+	// ChipUtil samples the device's mean chip busy fraction. Series do
+	// not merge: a merged report keeps the first report's.
+	QueueDepth *metrics.Series `metrics:"keep"`
+	ChipUtil   *metrics.Series `metrics:"keep"`
 
 	// PerQueue counts submissions per submission-queue lane.
 	PerQueue []int64

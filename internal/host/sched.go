@@ -228,12 +228,10 @@ func (s *Scheduler) newCmd() *Command {
 	return &Command{}
 }
 
-// freeCmd returns a command to the freelist. Recycling is strictly
-// opt-in: only commands whose submitter used the Completion interface
-// (which promises not to retain the pointer) and internally generated
-// background ticks come back here — commands delivered through the
-// legacy ExtSubmission.Done func, or run by the closed/open-loop
-// drivers, stay live because callers historically retain them.
+// freeCmd returns a command to the freelist. Only external commands
+// (their Completion promises not to retain the pointer) and internally
+// generated background ticks come back here — commands run by the
+// closed/open-loop drivers stay live because callers retain them.
 func (s *Scheduler) freeCmd(c *Command) { s.cmdFree = append(s.cmdFree, c) }
 
 // RunClosedLoop drives n generated requests at a fixed queue depth: depth

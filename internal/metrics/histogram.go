@@ -1,6 +1,8 @@
 // Package metrics provides the small measurement structures the
-// experiment harness uses beyond plain counters: a log-bucketed duration
-// histogram for request-latency percentiles.
+// experiment harness uses beyond plain counters — a log-bucketed duration
+// histogram for request-latency percentiles, an exact small-integer
+// histogram and a bounded time series — plus the counter schema (Add and
+// Sub) that diffs and merges every report struct of the stack.
 package metrics
 
 import (

@@ -43,6 +43,20 @@ func (h *IntHistogram) Record(v int) {
 	}
 }
 
+// Merge folds other's observations into h bucket by bucket. Values that
+// other counts exactly but h cannot collapse into h's overflow bucket.
+func (h *IntHistogram) Merge(other *IntHistogram) {
+	if other == nil {
+		return
+	}
+	for v, c := range other.counts {
+		h.counts[min(v, len(h.counts)-1)] += c
+	}
+	h.total += other.total
+	h.sum += other.sum
+	h.max = max(h.max, other.max)
+}
+
 // Count returns the number of observations.
 func (h *IntHistogram) Count() uint64 { return h.total }
 

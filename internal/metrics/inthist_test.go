@@ -34,15 +34,15 @@ func TestIntHistogramQuantileExact(t *testing.T) {
 		p    float64
 		want int
 	}{
-		{0, 1},      // rank clamps to 1 → smallest value
-		{0.10, 1},   // rank 1
-		{0.25, 2},   // rank 3 (ceil(2.5))
-		{0.50, 5},   // rank 5
-		{0.70, 5},   // rank 7
-		{0.80, 8},   // rank 8
-		{0.90, 9},   // rank 9
-		{0.99, 10},  // rank 10 (ceil(9.9))
-		{1.00, 10},  // rank 10
+		{0, 1},     // rank clamps to 1 → smallest value
+		{0.10, 1},  // rank 1
+		{0.25, 2},  // rank 3 (ceil(2.5))
+		{0.50, 5},  // rank 5
+		{0.70, 5},  // rank 7
+		{0.80, 8},  // rank 8
+		{0.90, 9},  // rank 9
+		{0.99, 10}, // rank 10 (ceil(9.9))
+		{1.00, 10}, // rank 10
 	} {
 		if got := h.Quantile(tc.p); got != tc.want {
 			t.Errorf("Quantile(%.2f) = %d, want %d", tc.p, got, tc.want)
@@ -66,5 +66,29 @@ func TestIntHistogramQuantileOverflowAndEmpty(t *testing.T) {
 	}
 	if got := h.Quantile(0.33); got != 0 {
 		t.Errorf("Quantile(0.33) = %d, want 0", got)
+	}
+}
+
+// Merge equals recording both streams into one histogram; values beyond
+// a narrower destination collapse into its overflow bucket.
+func TestIntHistogramMerge(t *testing.T) {
+	a, b, both := NewIntHistogram(8), NewIntHistogram(8), NewIntHistogram(8)
+	for _, v := range []int{0, 1, 1, 3} {
+		a.Record(v)
+		both.Record(v)
+	}
+	for _, v := range []int{1, 2, 9, 12} {
+		b.Record(v)
+		both.Record(v)
+	}
+	a.Merge(b)
+	a.Merge(nil)
+	if a.String() != both.String() || a.Quantile(0.9) != both.Quantile(0.9) {
+		t.Fatalf("merged %s, want %s", a, both)
+	}
+	narrow := NewIntHistogram(2)
+	narrow.Merge(both)
+	if narrow.Count() != 8 || narrow.CountOf(2) != 4 || narrow.Max() != 12 || narrow.Sum() != both.Sum() {
+		t.Fatalf("narrow merge: %s", narrow)
 	}
 }

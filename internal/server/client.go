@@ -66,7 +66,8 @@ func DialTimeout(addr, ns string, timeout time.Duration) (*Client, error) {
 	return &Client{
 		conn:    conn,
 		rr:      wire.NewReplyReader(bufio.NewReader(conn)),
-		addr:    addr, ns: ns,
+		addr:    addr,
+		ns:      ns,
 		Welcome: wl,
 	}, nil
 }

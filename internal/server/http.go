@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
-	"reflect"
 
 	"espftl/internal/ftl"
+	"espftl/internal/metrics"
 	"espftl/internal/nand"
 )
 
@@ -42,8 +42,9 @@ type ShardStats struct {
 
 // GCStats is the device-level collector snapshot served in /stats and in
 // STAT payloads: which victim policy drives garbage collection and how
-// much incremental work it has done. In merged views the counters sum
-// over shards (the policy is fleet-uniform).
+// much incremental work it has done. Merged views combine shards with
+// metrics.Add: the counters sum, and the policy label (fleet-uniform)
+// comes from the first shard.
 type GCStats struct {
 	Policy      string `json:"policy"`
 	Steps       int64  `json:"steps"`
@@ -51,31 +52,24 @@ type GCStats struct {
 	Preemptions int64  `json:"preemptions"`
 }
 
-// add folds another shard's collector snapshot into g.
-func (g *GCStats) add(o GCStats) {
-	if g.Policy == "" {
-		g.Policy = o.Policy
-	}
-	g.Steps += o.Steps
-	g.PagesCopied += o.PagesCopied
-	g.Preemptions += o.Preemptions
-}
-
 // nsGC merges the collector snapshots of the namespace's owning shards
 // — what a tenant's STAT reply reports as "its" GC activity.
 func (s *Server) nsGC(ns *namespace) GCStats {
 	var out GCStats
 	for _, e := range ns.extents {
-		out.add(e.sh.gcSnapshot())
+		metrics.Add(&out, e.sh.gcSnapshot())
 	}
 	return out
 }
 
 // MetricsPage is the /metrics document. The top-level Device and FTL
-// blocks are the merged fleet view — counters summed across shards
-// (labels and size fields, like the GC policy and sector size, come
-// from shard 0; shards are homogeneously configured). Shards carries
-// each shard's own atomically snapshotted counters.
+// blocks are the merged fleet view, built with metrics.Add from the
+// field kinds declared on nand.Counters and ftl.Stats: counters and
+// gauges sum across shards; labels and kept fields, like the GC policy
+// and sector size, come from shard 0 (shards are homogeneously
+// configured); and FTL.Wear is rebuilt from every shard's blocks
+// through ftl.WearAcc. Shards carries each shard's own atomically
+// snapshotted counters.
 type MetricsPage struct {
 	Device nand.Counters `json:"device"`
 	FTL    ftl.Stats     `json:"ftl"`
@@ -137,7 +131,7 @@ func (s *Server) serveStats(w http.ResponseWriter, r *http.Request) {
 			st.Namespaces = append(st.Namespaces, ns.name)
 		}
 		page.Inflight += st.Inflight
-		page.GC.add(st.GC)
+		metrics.Add(&page.GC, st.GC)
 		page.Shards = append(page.Shards, st)
 	}
 	for _, ns := range s.nss {
@@ -166,49 +160,14 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 			sm.VirtualNowNS = int64(sh.gate.VirtualNow())
 		}
 		if sh.idx == 0 {
-			page.Device, page.FTL, page.VirtualNowNS = sm.Device, sm.FTL, sm.VirtualNowNS
-		} else {
-			sumCounters(&page.Device, &sm.Device)
-			sumCounters(&page.FTL, &sm.FTL)
+			page.VirtualNowNS = sm.VirtualNowNS
 		}
+		metrics.Add(&page.Device, sm.Device)
+		metrics.Add(&page.FTL, sm.FTL)
 		page.Shards = append(page.Shards, sm)
 	}
 	page.FTL.Wear = wear.Dist()
 	writeJSON(w, page)
-}
-
-// sumCounters adds src's numeric counter fields into dst, recursing
-// into nested structs (ftl.Stats mirrors nand.Counters). Labels like
-// GCPolicy and per-shard size constants like SectorBytes keep dst's
-// value, so the merged view inherits them from shard 0. Reflection
-// keeps the merge in lockstep with counter-struct growth.
-func sumCounters(dst, src interface{}) {
-	sumValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem())
-}
-
-// mergeKeeps are fields that are not counters, so summing them across
-// shards would be nonsense: SectorBytes is a size, and Wear is a
-// distribution the fleet view rebuilds from every shard's blocks.
-var mergeKeeps = map[string]bool{"SectorBytes": true, "Wear": true}
-
-func sumValue(dst, src reflect.Value) {
-	t := dst.Type()
-	for i := 0; i < dst.NumField(); i++ {
-		if mergeKeeps[t.Field(i).Name] {
-			continue
-		}
-		d, s := dst.Field(i), src.Field(i)
-		switch d.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			d.SetInt(d.Int() + s.Int())
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			d.SetUint(d.Uint() + s.Uint())
-		case reflect.Float32, reflect.Float64:
-			d.SetFloat(d.Float() + s.Float())
-		case reflect.Struct:
-			sumValue(d, s)
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

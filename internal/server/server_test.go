@@ -71,6 +71,16 @@ func mirror(m *ftltest.Model, base int64, reqs []workload.Request) {
 	}
 }
 
+// doneFunc adapts a callback to host.Completion. The scheduler recycles
+// the command record once Complete returns, so the callback gets a copy
+// it may keep.
+type doneFunc func(c *host.Command)
+
+func (f doneFunc) Complete(c *host.Command) {
+	cp := *c
+	f(&cp)
+}
+
 // TestLoopbackDifferential is the acceptance gate: two tenants drive
 // >= 10k mixed operations at QD=8 over TCP, and the served device's
 // final logical state must be sector-for-sector identical to the same
@@ -174,12 +184,12 @@ func TestLoopbackDifferential(t *testing.T) {
 		send := func(base int64, r workload.Request) {
 			r.LSN += base
 			window <- struct{}{}
-			sub <- host.ExtSubmission{Req: r, Done: func(c *host.Command) {
+			sub <- host.ExtSubmission{Req: r, Complete: doneFunc(func(c *host.Command) {
 				if c.Err != nil {
 					t.Errorf("direct run error: %v", c.Err)
 				}
 				<-window
-			}}
+			})}
 		}
 		for i := 0; i < len(streamA) || i < len(streamB); i++ {
 			if i < len(streamA) {

@@ -175,14 +175,8 @@ func (sh *shard) start(cfg Config) {
 // carrying the typed engine-stopped error through the normal completion
 // path. Cold path only: it runs after the engine goroutine has exited.
 func (sh *shard) refuse(es host.ExtSubmission) {
-	if es.Complete == nil && es.Done == nil {
-		return
-	}
-	c := &host.Command{Req: es.Req, Err: errEngineStopped, DispatchIdx: -1}
 	if es.Complete != nil {
-		es.Complete.Complete(c)
-	} else {
-		es.Done(c)
+		es.Complete.Complete(&host.Command{Req: es.Req, Err: errEngineStopped, DispatchIdx: -1})
 	}
 }
 
@@ -269,48 +263,22 @@ func (sh *shard) gcSnapshot() GCStats {
 	return GCStats{}
 }
 
-// mergeReports folds per-shard engine reports into one fleet view:
-// counters sum, histograms merge bucket-by-bucket. Configuration echoes
-// (arbiter, queues) come from the first report — shards are
-// homogeneously configured. A single report passes through untouched.
+// mergeReports folds per-shard engine reports into one fleet view with
+// metrics.Add: counters sum, and histograms, the fan-out distribution
+// and the per-queue counts merge into fresh values, so the per-shard
+// reports stay independently inspectable after shutdown. Configuration
+// echoes (arbiter, depth, queues) and the sampled series come from the
+// first report — shards are homogeneously configured. A single report
+// passes through untouched.
 func mergeReports(reps []*host.Report) *host.Report {
-	if len(reps) == 0 {
-		return nil
-	}
 	if len(reps) == 1 {
 		return reps[0]
 	}
-	out := *reps[0]
-	// Fresh histograms: merging must not mutate the per-shard reports,
-	// which stay independently inspectable after shutdown.
-	out.HostLat = metrics.NewHistogram()
-	out.ReadLat = metrics.NewHistogram()
-	out.WriteLat = metrics.NewHistogram()
-	out.BackLat = metrics.NewHistogram()
-	out.ReadWait = metrics.NewHistogram()
-	out.WriteWait = metrics.NewHistogram()
-	out.Submitted, out.Dispatched, out.Completed, out.Background = 0, 0, 0, 0
-	out.Errors, out.Rejected = 0, 0
-	out.OutOfOrder, out.ReadsPromoted, out.BackgroundDeferred = 0, 0, 0
+	out := &host.Report{}
 	for _, r := range reps {
-		if r == nil {
-			continue
+		if r != nil {
+			metrics.Add(out, r)
 		}
-		out.Submitted += r.Submitted
-		out.Dispatched += r.Dispatched
-		out.Completed += r.Completed
-		out.Background += r.Background
-		out.Errors += r.Errors
-		out.Rejected += r.Rejected
-		out.OutOfOrder += r.OutOfOrder
-		out.ReadsPromoted += r.ReadsPromoted
-		out.BackgroundDeferred += r.BackgroundDeferred
-		out.HostLat.Merge(r.HostLat)
-		out.ReadLat.Merge(r.ReadLat)
-		out.WriteLat.Merge(r.WriteLat)
-		out.BackLat.Merge(r.BackLat)
-		out.ReadWait.Merge(r.ReadWait)
-		out.WriteWait.Merge(r.WriteWait)
 	}
-	return &out
+	return out
 }

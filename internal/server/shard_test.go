@@ -720,3 +720,78 @@ func TestFleetWearMerge(t *testing.T) {
 		t.Errorf("fleet wear units device %v ftl %v, want the sum %v", mp.Device.WearUnits, mp.FTL.Device.WearUnits, units)
 	}
 }
+
+// TestFleetReportMerge: the fleet report Shutdown returns merges every
+// distribution of the shard reports — the fan-out histogram and the
+// per-queue submission counts included — into fresh values, and the
+// shard reports keep their own, self-consistent numbers afterwards.
+func TestFleetReportMerge(t *testing.T) {
+	srv, err := server.New(server.Config{
+		Shards:     2,
+		Namespaces: []server.NamespaceSpec{{Name: "s", Sectors: 4096, Placement: "*"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(); err != nil {
+		t.Fatal(err)
+	}
+	var reqs []workload.Request
+	for i := 0; i < 400; i++ {
+		op := workload.OpWrite
+		if i%3 == 2 {
+			op = workload.OpRead
+		}
+		reqs = append(reqs, workload.Request{Op: op, LSN: int64(i*13) % 4000, Sectors: 1 + i%24})
+	}
+	c, err := server.Dial(srv.Addr(), "s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, err := c.RunRequests(reqs, 8, nil)
+	c.Close()
+	if err != nil || cr.Errors != 0 {
+		t.Fatalf("run: %v (report %+v)", err, cr)
+	}
+	fleet, err := srv.Shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var fanout, completed uint64
+	perQueue := make([]int64, len(fleet.PerQueue))
+	for i := 0; i < 2; i++ {
+		r := server.ShardReport(srv, i)
+		if r.Completed == 0 {
+			t.Fatalf("shard %d served nothing; the striped run must reach both", i)
+		}
+		if r == fleet || r.Fanout == fleet.Fanout || r.HostLat == fleet.HostLat || &r.PerQueue[0] == &fleet.PerQueue[0] {
+			t.Fatalf("fleet report aliases shard %d's", i)
+		}
+		// Each shard's own distributions still agree with its own
+		// counters: nothing was merged into them.
+		var submitted int64
+		for q, n := range r.PerQueue {
+			perQueue[q] += n
+			submitted += n
+		}
+		if submitted != r.Submitted || r.HostLat.Count() != uint64(r.Completed) ||
+			r.Fanout.Count() != r.ReadWait.Count()+r.WriteWait.Count() {
+			t.Fatalf("shard %d report inconsistent: submitted %d, per-queue %v, completed %d, host latencies %d, fan-out %d, waits %d",
+				i, r.Submitted, r.PerQueue, r.Completed, r.HostLat.Count(), r.Fanout.Count(), r.ReadWait.Count()+r.WriteWait.Count())
+		}
+		fanout += r.Fanout.Count()
+		completed += uint64(r.Completed)
+	}
+	if fleet.Fanout.Count() != fanout {
+		t.Fatalf("fleet fan-out count %d, shard sum %d", fleet.Fanout.Count(), fanout)
+	}
+	for q := range perQueue {
+		if fleet.PerQueue[q] != perQueue[q] {
+			t.Fatalf("fleet per-queue %v, shard sum %v", fleet.PerQueue, perQueue)
+		}
+	}
+	if fleet.HostLat.Count() != completed || uint64(fleet.Completed) != completed {
+		t.Fatalf("fleet completed %d, host latencies %d, shard sum %d", fleet.Completed, fleet.HostLat.Count(), completed)
+	}
+}

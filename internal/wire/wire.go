@@ -290,6 +290,9 @@ func parseCmd(body []byte) (Cmd, error) {
 	if c.Op < OpRead || c.Op > OpAdvance {
 		return Cmd{}, fmt.Errorf("wire: unknown opcode %d", body[0])
 	}
+	if body[1]&^1 != 0 {
+		return Cmd{}, fmt.Errorf("wire: reserved command flags %#02x set", body[1])
+	}
 	return c, nil
 }
 
